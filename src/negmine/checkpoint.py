@@ -28,10 +28,11 @@ MAGIC = b"NEGMINE\0"
 VERSION = 1
 
 _ARRAY_ORDER = ("emb", "ff_w", "ff_b", "w", "retrieval_emb")
+_HEADER_KEYS = frozenset({"bias", "hidden_dim", "vocab", "arrays", "thresholds"})
 
 
 class CheckpointError(ValueError):
-    """File is not a readable checkpoint of a supported version."""
+    """File is not a readable, finite checkpoint of a supported version."""
 
 
 def save_checkpoint(
@@ -73,31 +74,46 @@ def load_checkpoint(path: str | Path) -> tuple[ScorerParams, ThresholdMap | None
         header = json.loads(data[20 : 20 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt checkpoint header") from exc
-    offset = 20 + header_len
-    arrays = {}
-    for spec in header["arrays"]:
-        shape = tuple(spec["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        end = offset + count * 8
-        if end > len(data):
-            raise CheckpointError(f"{path}: truncated checkpoint blob {spec['name']}")
-        arrays[spec["name"]] = np.frombuffer(data[offset:end], dtype="<f8").reshape(shape).copy()
-        offset = end
-    if offset != len(data):
-        raise CheckpointError(f"{path}: trailing bytes after checkpoint blobs")
-    vocab = TokenVocab(header["vocab"]["relations"], header["vocab"]["words"])
-    params = ScorerParams(
-        vocab,
-        arrays["emb"],
-        arrays["ff_w"],
-        arrays["ff_b"],
-        arrays["w"],
-        header["bias"],
-        arrays["retrieval_emb"],
-    )
-    thresholds = None
-    if header["thresholds"] is not None:
-        thresholds = ThresholdMap(
-            dict(header["thresholds"]["per_relation"]), header["thresholds"]["fallback"]
+    missing = _HEADER_KEYS - header.keys() if isinstance(header, dict) else _HEADER_KEYS
+    if missing:
+        raise CheckpointError(f"{path}: checkpoint header lacks {', '.join(sorted(missing))}")
+    try:
+        names = tuple(spec["name"] for spec in header["arrays"])
+        if names != _ARRAY_ORDER:
+            raise CheckpointError(
+                f"{path}: checkpoint arrays {list(names)} differ from {list(_ARRAY_ORDER)}"
+            )
+        offset = 20 + header_len
+        arrays = {}
+        for spec in header["arrays"]:
+            shape = tuple(int(d) for d in spec["shape"])
+            count = int(np.prod(shape)) if shape else 1
+            end = offset + count * 8
+            if end > len(data):
+                raise CheckpointError(f"{path}: truncated checkpoint blob {spec['name']}")
+            arrays[spec["name"]] = np.frombuffer(data[offset:end], dtype="<f8").reshape(shape).copy()
+            offset = end
+        if offset != len(data):
+            raise CheckpointError(f"{path}: trailing bytes after checkpoint blobs")
+        vocab = TokenVocab(header["vocab"]["relations"], header["vocab"]["words"])
+        params = ScorerParams(
+            vocab,
+            arrays["emb"],
+            arrays["ff_w"],
+            arrays["ff_b"],
+            arrays["w"],
+            header["bias"],
+            arrays["retrieval_emb"],
         )
+        thresholds = None
+        if header["thresholds"] is not None:
+            thresholds = ThresholdMap(
+                dict(header["thresholds"]["per_relation"]), header["thresholds"]["fallback"]
+            )
+    except CheckpointError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: malformed checkpoint: {exc}") from exc
+    if not params.all_finite():
+        raise CheckpointError(f"{path}: checkpoint holds non-finite scorer weights")
     return params, thresholds

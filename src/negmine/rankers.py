@@ -21,6 +21,7 @@ from .kb import LabeledTriple, ParseError, Phrase
 from .scorer import (
     ScorerParams,
     ThresholdMap,
+    encode_batch,
     loss_and_gradient,
     score_batch,
 )
@@ -43,51 +44,8 @@ class RankedCandidate:
 
 
 def _encode_candidates(params: ScorerParams, candidates: list[Candidate]) -> np.ndarray:
-    """Pooled representations of many triples, forward only.
-
-    Mean pooling is linear in the token rows, so the embedding sum of each
-    distinct phrase is computed once and shared by every triple that reuses
-    the phrase; only the residual block sees the full batch. The backward
-    pass has no such shortcut: it must scatter into individual token rows.
-    """
-    vocab = params.vocab
-    phrase_index: dict[Phrase, int] = {}
-    sums: list[np.ndarray] = []
-    token_counts: list[int] = []
-    relation_index: dict[str, int] = {}
-    relation_ids: list[int] = []
-
-    def phrase_slot(phrase: Phrase) -> int:
-        slot = phrase_index.get(phrase)
-        if slot is None:
-            slot = len(sums)
-            phrase_index[phrase] = slot
-            sums.append(params.emb[vocab.encode_phrase(phrase)].sum(axis=0))
-            token_counts.append(len(phrase.tokens))
-        return slot
-
-    head_slot = np.empty(len(candidates), dtype=np.int64)
-    tail_slot = np.empty(len(candidates), dtype=np.int64)
-    rel_slot = np.empty(len(candidates), dtype=np.int64)
-    for i, c in enumerate(candidates):
-        head_slot[i] = phrase_slot(c.triple.head)
-        tail_slot[i] = phrase_slot(c.triple.tail)
-        slot = relation_index.get(c.triple.relation)
-        if slot is None:
-            slot = len(relation_ids)
-            relation_index[c.triple.relation] = slot
-            relation_ids.append(vocab.relation_id(c.triple.relation))
-        rel_slot[i] = slot
-
-    phrase_sums = np.stack(sums)
-    counts = np.asarray(token_counts, dtype=np.int64)
-    rel_rows = params.emb[np.asarray(relation_ids, dtype=np.int64)]
-    # encode_triple layout: [start, head tokens, sep, relation, sep, tail tokens]
-    frame = params.emb[vocab.START] + 2.0 * params.emb[vocab.SEP]
-    lengths = 3 + counts[head_slot] + counts[tail_slot]
-    m = (frame + rel_rows[rel_slot] + phrase_sums[head_slot] + phrase_sums[tail_slot])
-    m /= lengths[:, None]
-    return m + np.tanh(m @ params.ff_w.T + params.ff_b)
+    """Pooled representations of the candidates' triples, forward only."""
+    return encode_batch(params, [c.triple for c in candidates])
 
 
 def rank_theta(

@@ -7,13 +7,24 @@ with corrupted counterparts under binary cross-entropy, optimized by
 mini-batch gradient descent with adaptive per-parameter step sizes. Exact
 analytic gradients over every parameter are exposed for gradient-based
 ranking.
+
+`encode`, `score` and `loss_and_gradient` work on one triple and are the
+reference. The batch paths encode each distinct phrase to token ids once,
+into a `PhraseTable`, and hold triples as int rows (head phrase id, relation
+token id, tail phrase id). Training pools a batch through its normalized
+token-count matrix `A` (batch x the batch's distinct tokens), so the forward
+pass is `A @ emb[ids]`, the embedding gradient is `A.T @ dm`, and the
+optimizer steps only those rows. Forward-only scoring pools from per-phrase
+embedding sums, computed once per call.
 """
 from __future__ import annotations
 
 import logging
 import math
 import threading
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,6 +102,53 @@ class TokenVocab:
             and self.relations == other.relations
             and self.words == other.words
         )
+
+
+class PhraseTable:
+    """Distinct phrases in first-seen order, each encoded to token ids once.
+
+    Phrase i's token ids are `tokens[offsets[i] : offsets[i] + lengths[i]]`
+    of `arrays()`. `encode` turns triples into int rows (head phrase id,
+    relation token id, tail phrase id) over the table, adding unseen phrases.
+    """
+
+    def __init__(self, vocab: TokenVocab, phrases: Iterable[Phrase] = ()):
+        self.vocab = vocab
+        self._ids: dict[Phrase, int] = {}
+        self._tokens: list[int] = []
+        self._lengths: list[int] = []
+        self._arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        for phrase in phrases:
+            self.phrase_id(phrase)
+
+    def phrase_id(self, phrase: Phrase) -> int:
+        i = self._ids.get(phrase)
+        if i is None:
+            i = self._ids[phrase] = len(self._lengths)
+            self._tokens.extend(self.vocab.word_id(t) for t in phrase.tokens)
+            self._lengths.append(len(phrase.tokens))
+            self._arrays = None
+        return i
+
+    def encode(self, triples: Iterable[LabeledTriple]) -> np.ndarray:
+        """(n, 3) int64 rows: head phrase id, relation token id, tail phrase id."""
+        phrase_id = self.phrase_id
+        relation_id = self.vocab.relation_id
+        flat = [
+            i
+            for t in triples
+            for i in (phrase_id(t.head), relation_id(t.relation), phrase_id(t.tail))
+        ]
+        return np.asarray(flat, dtype=np.int64).reshape(-1, 3)
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(tokens, offsets, lengths) of every phrase added so far."""
+        if self._arrays is None:
+            lengths = np.asarray(self._lengths, dtype=np.int64)
+            offsets = np.zeros(len(lengths), dtype=np.int64)
+            np.cumsum(lengths[:-1], out=offsets[1:])
+            self._arrays = (np.asarray(self._tokens, dtype=np.int64), offsets, lengths)
+        return self._arrays
 
 
 class ScorerParams:
@@ -186,12 +244,18 @@ def score(params: ScorerParams, triple: LabeledTriple) -> float:
     return float(sigmoid(params.w @ encode(params, triple) + params.b))
 
 
-def score_batch(params: ScorerParams, triples: list[LabeledTriple]) -> np.ndarray:
+def encode_batch(params: ScorerParams, triples: list[LabeledTriple]) -> np.ndarray:
+    """`encode` of many triples, one row each, forward only."""
     if not triples:
-        return np.zeros(0)
-    ids, mask, lengths = _pad_ids([params.vocab.encode_triple(t) for t in triples])
-    _, _, _, p = _forward(params, ids, mask, lengths)
-    return p
+        return np.zeros((0, params.hidden_dim))
+    table = PhraseTable(params.vocab)
+    rows = table.encode(triples)
+    _, h = _hidden(params, _pool_phrase_sums(params, table, rows))
+    return h
+
+
+def score_batch(params: ScorerParams, triples: list[LabeledTriple]) -> np.ndarray:
+    return sigmoid(encode_batch(params, triples) @ params.w + params.b)
 
 
 def corrupt(
@@ -209,14 +273,10 @@ def corrupt(
         raise ValueError(f"unknown corruption mode {mode!r}")
     if mode == "relation":
         pool: tuple = tuple(sorted(kb.relations))
-        original = positive.relation
+        skip = pool.index(positive.relation) if positive.relation in kb.relations else None
     else:
         pool = kb.phrases
-        original = positive.phrase(HEAD if mode == "head" else TAIL)
-    try:
-        skip = pool.index(original)
-    except ValueError:
-        skip = None
+        skip = kb.phrase_positions.get(positive.phrase(HEAD if mode == "head" else TAIL))
     n = len(pool) - (skip is not None)
     if n < 1:
         raise ValueError(f"KB too small to corrupt {mode}: no replacement differs from the original")
@@ -290,40 +350,85 @@ def loss_and_gradient(
     return loss, TripleGradient(emb_rows, dff_w, da, dw, float(dz))
 
 
-def _pad_ids(id_lists: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    lengths = np.asarray([len(ids) for ids in id_lists], dtype=np.int64)
-    width = int(lengths.max())
-    ids = np.zeros((len(id_lists), width), dtype=np.int64)
-    mask = np.zeros((len(id_lists), width))
-    for i, row in enumerate(id_lists):
-        ids[i, : len(row)] = row
-        mask[i, : len(row)] = 1.0
-    return ids, mask, lengths
-
-
-def _forward(params: ScorerParams, ids, mask, lengths):
-    m = (params.emb[ids] * mask[:, :, None]).sum(axis=1) / lengths[:, None]
+def _hidden(params: ScorerParams, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Residual feedforward over pooled rows: (tanh activation, pooled vector)."""
     t = np.tanh(m @ params.ff_w.T + params.ff_b)
-    h = m + t
+    return t, m + t
+
+
+def _pool_phrase_sums(params: ScorerParams, table: PhraseTable, rows: np.ndarray) -> np.ndarray:
+    """Token means of triple rows from per-phrase embedding sums, forward only.
+
+    Mean pooling is linear in the token rows, so each distinct phrase's
+    embedding sum is gathered once and shared by every triple that uses it.
+    """
+    tokens, offsets, lengths = table.arrays()
+    sums = np.add.reduceat(params.emb[tokens], offsets, axis=0)
+    heads, relations, tails = rows.T
+    vocab = params.vocab
+    # encode_triple layout: [start, head tokens, sep, relation, sep, tail tokens]
+    frame = params.emb[vocab.START] + 2.0 * params.emb[vocab.SEP]
+    m = frame + params.emb[relations] + sums[heads] + sums[tails]
+    m /= (4 + lengths[heads] + lengths[tails])[:, None]
+    return m
+
+
+def _token_weights(
+    vocab: TokenVocab, table: PhraseTable, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The batch's distinct token ids and its normalized token-count matrix A.
+
+    A[i, j] counts token `ids[j]` among the `4 + |head| + |tail|` ids that
+    `encode_triple` emits for row i, divided by that length. So
+    `A @ emb[ids]` is the batch's token means, and `A.T @ dm` is the
+    gradient of those means on rows `ids` of the embedding table; no other
+    row is touched.
+    """
+    tokens, offsets, lengths = table.arrays()
+    n = len(rows)
+    heads, relations, tails = rows.T
+    phrases = np.concatenate([heads, tails])
+    counts = lengths[phrases]
+    ends = np.cumsum(counts)
+    # Index into `tokens` of every head token, then every tail token.
+    positions = np.arange(ends[-1]) + np.repeat(offsets[phrases] - (ends - counts), counts)
+    frame = np.empty((n, 4), dtype=np.int64)
+    frame[:, :3] = (vocab.START, vocab.SEP, vocab.SEP)
+    frame[:, 3] = relations
+    emitted = np.concatenate([tokens[positions], frame.ravel()])
+    owner = np.concatenate(
+        [np.repeat(np.tile(np.arange(n), 2), counts), np.repeat(np.arange(n), 4)]
+    )
+    present = np.zeros(vocab.size, dtype=bool)
+    present[emitted] = True
+    ids = np.flatnonzero(present)
+    column = np.cumsum(present) - 1  # position of each token id within `ids`
+    inv_length = 1.0 / (4 + lengths[heads] + lengths[tails])
+    cells = owner * len(ids) + column[emitted]
+    a = np.bincount(cells, weights=inv_length[owner], minlength=n * len(ids))
+    return ids, a.reshape(n, len(ids))
+
+
+class _BatchGrads(NamedTuple):
+    """Mean batch gradient; `emb` holds only the rows `emb_ids` of the table."""
+
+    emb_ids: np.ndarray
+    emb: np.ndarray
+    ff_w: np.ndarray
+    ff_b: np.ndarray
+    w: np.ndarray
+    b: float
+
+
+def _loss_and_gradient_batch(
+    params: ScorerParams, table: PhraseTable, rows: np.ndarray, labels: np.ndarray
+) -> tuple[float, _BatchGrads]:
+    """Mean loss and mean gradient over a batch of triple rows."""
+    n = len(rows)
+    ids, a = _token_weights(params.vocab, table, rows)
+    m = a @ params.emb[ids]
+    t, h = _hidden(params, m)
     p = sigmoid(h @ params.w + params.b)
-    return m, t, h, p
-
-
-class _BatchGrads:
-    __slots__ = ("emb", "ff_w", "ff_b", "w", "b")
-
-    def __init__(self, emb, ff_w, ff_b, w, b):
-        self.emb = emb
-        self.ff_w = ff_w
-        self.ff_b = ff_b
-        self.w = w
-        self.b = b
-
-
-def _loss_and_gradient_batch(params: ScorerParams, ids, mask, lengths, labels) -> tuple[float, _BatchGrads]:
-    """Mean loss and dense mean gradient over a padded id batch."""
-    n = ids.shape[0]
-    m, t, h, p = _forward(params, ids, mask, lengths)
     pc = np.clip(p, LOSS_EPS, 1.0 - LOSS_EPS)
     loss = float(-(labels * np.log(pc) + (1.0 - labels) * np.log(1.0 - pc)).mean())
 
@@ -335,11 +440,8 @@ def _loss_and_gradient_batch(params: ScorerParams, ids, mask, lengths, labels) -
     dff_w = da.T @ m
     dff_b = da.sum(axis=0)
     dm = dh + da @ params.ff_w
-    demb = np.zeros_like(params.emb)
-    contrib = (dm / lengths[:, None])[:, None, :] * mask[:, :, None]
-    np.add.at(demb, ids.ravel(), contrib.reshape(-1, params.hidden_dim))
     params.count_grad_evals(n)
-    return loss, _BatchGrads(demb, dff_w, dff_b, dw, db)
+    return loss, _BatchGrads(ids, a.T @ dm, dff_w, dff_b, dw, db)
 
 
 class _Adagrad:
@@ -354,12 +456,14 @@ class _Adagrad:
         self.acc_b = 0.0
 
     def step(self, params: ScorerParams, g: _BatchGrads) -> None:
-        self.acc_emb += g.emb * g.emb
+        # Rows outside g.emb_ids have zero gradient, so their step is zero.
+        acc_emb = self.acc_emb[g.emb_ids] + g.emb * g.emb
+        self.acc_emb[g.emb_ids] = acc_emb
         self.acc_ff_w += g.ff_w * g.ff_w
         self.acc_ff_b += g.ff_b * g.ff_b
         self.acc_w += g.w * g.w
         self.acc_b += g.b * g.b
-        params.emb -= self.lr * g.emb / (np.sqrt(self.acc_emb) + ADA_EPS)
+        params.emb[g.emb_ids] -= self.lr * g.emb / (np.sqrt(acc_emb) + ADA_EPS)
         params.ff_w -= self.lr * g.ff_w / (np.sqrt(self.acc_ff_w) + ADA_EPS)
         params.ff_b -= self.lr * g.ff_b / (np.sqrt(self.acc_ff_b) + ADA_EPS)
         params.w -= self.lr * g.w / (np.sqrt(self.acc_w) + ADA_EPS)
@@ -390,23 +494,30 @@ class TrainConfig:
         return [self.corruption_mode] * self.negatives_per_positive
 
 
-def _run_epoch(
+def _train(
     params: ScorerParams,
-    id_lists: list[np.ndarray],
-    labels: np.ndarray,
+    table: PhraseTable,
+    config: TrainConfig,
     rng: np.random.Generator,
-    batch_size: int,
-    optimizer: _Adagrad,
-) -> float:
-    perm = rng.permutation(len(id_lists))
-    total = 0.0
-    for start in range(0, len(perm), batch_size):
-        sel = perm[start : start + batch_size]
-        ids, mask, lengths = _pad_ids([id_lists[i] for i in sel])
-        loss, grads = _loss_and_gradient_batch(params, ids, mask, lengths, labels[sel])
-        optimizer.step(params, grads)
-        total += loss * len(sel)
-    return total / len(id_lists)
+    epoch_examples: Callable[[], tuple[np.ndarray, np.ndarray]],
+) -> list[float]:
+    """Mean loss per epoch; `epoch_examples()` gives each epoch's (rows, labels)."""
+    optimizer = _Adagrad(params, config.learning_rate)
+    trace: list[float] = []
+    for epoch in range(config.epochs):
+        rows, labels = epoch_examples()
+        perm = rng.permutation(len(rows))
+        total = 0.0
+        for start in range(0, len(perm), config.batch_size):
+            sel = perm[start : start + config.batch_size]
+            loss, grads = _loss_and_gradient_batch(params, table, rows[sel], labels[sel])
+            optimizer.step(params, grads)
+            total += loss * len(sel)
+        mean_loss = total / len(rows)
+        if not math.isfinite(mean_loss):
+            raise ValueError(f"non-finite training loss {mean_loss} at epoch {epoch}")
+        trace.append(mean_loss)
+    return trace
 
 
 def corruption_examples(
@@ -417,8 +528,9 @@ def corruption_examples(
 ) -> list[LabeledTriple]:
     """One corrupted negative per positive per configured mode; skips logged."""
     negatives = []
+    modes = config.modes()
     for pos in positives:
-        for mode in config.modes():
+        for mode in modes:
             neg = corrupt(kb, pos, mode, rng)
             if neg is not None:
                 negatives.append(neg)
@@ -433,19 +545,18 @@ def train_contrastive(
     if not positives:
         raise ValueError("training split is empty")
     rng = np.random.default_rng([config.seed, 2])
-    optimizer = _Adagrad(params, config.learning_rate)
-    vocab = params.vocab
-    pos_ids = [vocab.encode_triple(t) for t in positives]
-    trace: list[float] = []
-    for epoch in range(config.epochs):
+    # Corruptions draw from the KB's phrases, so with all of them in the table
+    # up front, encoding an epoch's negatives never adds a phrase.
+    table = PhraseTable(params.vocab, kb.phrases)
+    pos_rows = table.encode(positives)
+    pos_labels = np.ones(len(positives))
+
+    def epoch_examples():
         negatives = corruption_examples(kb, positives, config, rng)
-        id_lists = pos_ids + [vocab.encode_triple(t) for t in negatives]
-        labels = np.concatenate([np.ones(len(positives)), np.zeros(len(negatives))])
-        mean_loss = _run_epoch(params, id_lists, labels, rng, config.batch_size, optimizer)
-        if not math.isfinite(mean_loss):
-            raise ValueError(f"non-finite training loss {mean_loss} at epoch {epoch}")
-        trace.append(mean_loss)
-    return params, trace
+        rows = np.concatenate([pos_rows, table.encode(negatives)])
+        return rows, np.concatenate([pos_labels, np.zeros(len(negatives))])
+
+    return params, _train(params, table, config, rng, epoch_examples)
 
 
 def train_supervised(
@@ -455,16 +566,10 @@ def train_supervised(
     if not examples:
         raise ValueError("example set is empty")
     rng = np.random.default_rng([config.seed, 3])
-    optimizer = _Adagrad(params, config.learning_rate)
-    id_lists = [params.vocab.encode_triple(t) for t in examples]
+    table = PhraseTable(params.vocab)
+    rows = table.encode(examples)
     labels = np.asarray([float(t.label) for t in examples])
-    trace: list[float] = []
-    for epoch in range(config.epochs):
-        mean_loss = _run_epoch(params, id_lists, labels, rng, config.batch_size, optimizer)
-        if not math.isfinite(mean_loss):
-            raise ValueError(f"non-finite training loss {mean_loss} at epoch {epoch}")
-        trace.append(mean_loss)
-    return params, trace
+    return params, _train(params, table, config, rng, lambda: (rows, labels))
 
 
 @dataclass

@@ -1,4 +1,5 @@
-"""Shared test helpers: triple builders and the finite-difference oracle."""
+"""Shared test helpers: triple builders, checkpoint surgery, and the finite-difference oracle."""
+import json
 import math
 
 import numpy as np
@@ -9,6 +10,18 @@ from negmine.scorer import score
 
 def make_triple(rel, head, tail, label=1):
     return LabeledTriple(Phrase.parse(head), rel, Phrase.parse(tail), label)
+
+
+def rewrite_checkpoint_header(path, edit):
+    """Apply `edit` to a saved checkpoint's JSON header, keeping its blobs."""
+    data = path.read_bytes()
+    header_len = int(np.frombuffer(data[12:20], dtype="<u8")[0])
+    header = json.loads(data[20 : 20 + header_len])
+    edit(header)
+    header_bytes = json.dumps(header).encode("utf-8")
+    path.write_bytes(
+        data[:12] + np.uint64(len(header_bytes)).tobytes() + header_bytes + data[20 + header_len :]
+    )
 
 
 def flatten_params(params):

@@ -1,6 +1,7 @@
 """Checkpoint round trips must be bit-exact and timestamp-free."""
 import numpy as np
 import pytest
+from conftest import rewrite_checkpoint_header
 
 from negmine.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from negmine.kb import KnowledgeBase, LabeledTriple, Phrase
@@ -85,4 +86,34 @@ class TestRejection:
         data = path.read_bytes()
         path.write_bytes(data[:-16])
         with pytest.raises(CheckpointError, match="truncated|trailing"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["bias", "hidden_dim", "vocab", "arrays", "thresholds"])
+    def test_header_missing_key(self, tmp_path, key):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, trained_params())
+        rewrite_checkpoint_header(path, lambda header: header.pop(key))
+        with pytest.raises(CheckpointError, match=f"lacks {key}"):
+            load_checkpoint(path)
+
+    def test_array_names_differ(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, trained_params())
+
+        def swap_embedding_tables(header):
+            # Same shapes, so only the name check can tell the tables apart.
+            arrays = header["arrays"]
+            arrays[0]["name"], arrays[-1]["name"] = arrays[-1]["name"], arrays[0]["name"]
+
+        rewrite_checkpoint_header(path, swap_embedding_tables)
+        with pytest.raises(CheckpointError, match=r"checkpoint arrays \[.*\] differ from"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("name", ["emb", "ff_w", "ff_b", "w"])
+    def test_non_finite_weights(self, tmp_path, name):
+        params = trained_params()
+        getattr(params, name).flat[0] = float("nan")
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, params)
+        with pytest.raises(CheckpointError, match="non-finite"):
             load_checkpoint(path)

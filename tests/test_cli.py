@@ -2,10 +2,12 @@
 from pathlib import Path
 
 import pytest
+from conftest import rewrite_checkpoint_header
 
-from negmine.checkpoint import load_checkpoint
+from negmine.checkpoint import load_checkpoint, save_checkpoint
 from negmine.cli import main
 from negmine.kb import save_tsv
+from negmine.scorer import TokenVocab, init_params
 from negmine.rankers import read_ranked_tsv
 from negmine.evaluation import read_trials_tsv
 from negmine.synthetic import SyntheticSpec, generate_kb
@@ -77,6 +79,30 @@ class TestExitCodes:
         code = run("train")
         assert code == 3
         assert "kb file not configured" in capsys.readouterr().err
+
+    def saved_checkpoint(self, workspace, emb_value=None):
+        out = workspace.parent / "out"
+        out.mkdir()
+        params = init_params(TokenVocab.from_kb(generate_kb(SPEC)), hidden_dim=8, seed=1)
+        if emb_value is not None:
+            params.emb[0, 0] = emb_value
+        save_checkpoint(out / "scorer.ckpt", params)
+        return out / "scorer.ckpt"
+
+    def test_checkpoint_header_without_bias(self, workspace, capsys):
+        path = self.saved_checkpoint(workspace)
+        rewrite_checkpoint_header(path, lambda header: header.pop("bias"))
+        code = run("rank", "--config", str(workspace), "--method", "grad")
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("negmine: invalid:") and "lacks bias" in err
+
+    def test_checkpoint_with_nan_weights(self, workspace, capsys):
+        self.saved_checkpoint(workspace, emb_value=float("nan"))
+        code = run("rank", "--config", str(workspace), "--method", "grad")
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("negmine: invalid:") and "non-finite" in err
 
     def test_sample_rejects_ranked_sampler(self, workspace, capsys):
         code = run("sample", "--config", str(workspace), "--sampler", "negater-theta")

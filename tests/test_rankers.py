@@ -22,7 +22,14 @@ from negmine.rankers import (
     read_ranked_tsv,
     write_ranked_tsv,
 )
-from negmine.scorer import ThresholdMap, TokenVocab, init_params, loss_and_gradient, score
+from negmine.scorer import (
+    ThresholdMap,
+    TokenVocab,
+    encode,
+    init_params,
+    loss_and_gradient,
+    score,
+)
 
 
 def cand(triple, source=None, slot=HEAD, rank=1):
@@ -261,6 +268,23 @@ class TestPredictor:
         model = fit_gradient_predictor(params, candidates, 20, np.random.default_rng(6))
         assert model.n_train == 20
         assert math.isfinite(model.train_mae)
+
+
+class TestEncodeCandidates:
+    def test_rows_match_encode(self):
+        from negmine.rankers import _encode_candidates
+
+        vocab = TokenVocab(["R", "S"], ["a", "b", "c"])
+        params = init_params(vocab, hidden_dim=6, seed=21)
+        params.ff_b[:] = np.random.default_rng(22).normal(size=6)
+        candidates = [
+            cand(t("R", "a b c", "b", 0)),  # multi-token head
+            cand(t("S", "a a", "c a b a", 0)),  # repeated tokens
+            cand(t("R", "zzz", "a qqq", 0)),  # out-of-vocabulary words
+            cand(t("T", "b", "c", 0)),  # out-of-vocabulary relation
+        ]
+        expected = np.stack([encode(params, c.triple) for c in candidates])
+        np.testing.assert_allclose(_encode_candidates(params, candidates), expected, rtol=1e-12)
 
 
 class TestRankGradFast:

@@ -6,10 +6,14 @@ import pytest
 
 from negmine.kb import HEAD, TAIL, KnowledgeBase, LabeledTriple, Phrase
 from negmine.scorer import (
+    ADA_EPS,
+    PhraseTable,
     ScorerParams,
     ThresholdMap,
     TokenVocab,
     TrainConfig,
+    _Adagrad,
+    _loss_and_gradient_batch,
     best_threshold,
     classify,
     corrupt,
@@ -355,6 +359,66 @@ class TestLossAndGradient:
         expected = math.sqrt(float(grad.w @ grad.w) + grad.b * grad.b)
         assert grad.norm(final_layer_only=True) == pytest.approx(expected, rel=1e-12)
         assert grad.norm() > grad.norm(final_layer_only=True)
+
+
+def mixed_batch():
+    """Params with a non-zero feedforward bias and a batch that mixes triple
+    lengths, repeats a token, and holds out-of-vocabulary words and relations."""
+    vocab = TokenVocab(["r", "s"], ["a", "b", "c", "d"])
+    params = init_params(vocab, hidden_dim=5, seed=4)
+    params.ff_b[:] = np.random.default_rng(5).normal(size=5)
+    triples = [
+        t("r", "a", "b", 1),
+        t("s", "a b a", "c", 0),
+        t("r", "zzz d", "b c d", 1),
+        t("unseen", "d", "qqq", 0),
+        t("s", "c c c c", "a", 1),
+    ]
+    return params, triples
+
+
+class TestBatchPaths:
+    def test_phrase_table_encodes_each_phrase_once(self):
+        vocab = TokenVocab(["r"], ["a", "b"])
+        table = PhraseTable(vocab)
+        rows = table.encode([t("r", "a b", "b"), t("r", "b", "a b"), t("q", "zzz", "b")])
+        np.testing.assert_array_equal(
+            rows,
+            [[0, vocab.relation_ids["r"], 1], [1, vocab.relation_ids["r"], 0], [2, vocab.UNK, 1]],
+        )
+        tokens, offsets, lengths = table.arrays()
+        np.testing.assert_array_equal(
+            tokens, [vocab.word_ids["a"], vocab.word_ids["b"], vocab.word_ids["b"], vocab.UNK]
+        )
+        np.testing.assert_array_equal(offsets, [0, 2, 3])
+        np.testing.assert_array_equal(lengths, [2, 1, 1])
+
+    def test_batch_gradient_is_mean_of_oracle(self):
+        params, triples = mixed_batch()
+        labels = np.array([float(x.label) for x in triples])
+        table = PhraseTable(params.vocab)
+        loss, grads = _loss_and_gradient_batch(params, table, table.encode(triples), labels)
+        oracle = [loss_and_gradient(params, x, x.label) for x in triples]
+        assert loss == pytest.approx(np.mean([l for l, _ in oracle]), rel=1e-10)
+        expected = np.mean([dense_gradient(params, g) for _, g in oracle], axis=0)
+        demb = np.zeros_like(params.emb)
+        demb[grads.emb_ids] = grads.emb
+        got = np.concatenate(
+            [demb.ravel(), grads.ff_w.ravel(), grads.ff_b.ravel(), grads.w.ravel(), [grads.b]]
+        )
+        np.testing.assert_allclose(got, expected, rtol=1e-10)
+
+
+    def test_adagrad_steps_only_touched_rows_as_a_dense_step_would(self):
+        params, triples = mixed_batch()
+        labels = np.array([float(x.label) for x in triples])
+        table = PhraseTable(params.vocab)
+        _, grads = _loss_and_gradient_batch(params, table, table.encode(triples), labels)
+        demb = np.zeros_like(params.emb)
+        demb[grads.emb_ids] = grads.emb
+        expected = params.emb - 0.1 * demb / (np.sqrt(demb * demb) + ADA_EPS)
+        _Adagrad(params, 0.1).step(params, grads)
+        np.testing.assert_array_equal(params.emb, expected)
 
 
 class TestTraining:
