@@ -5,15 +5,24 @@ k nearest neighbor phrases, keeping only candidates that (a) are not stored
 positives, (b) put the substituted phrase in a slot where that relation has
 actually seen it, and (c) have not been emitted before. The surviving
 candidates are plausible-but-unsupported statements, ready for ranking.
+
+Generation runs on the KB's integer view (`KnowledgeBase.ids`): neighbor
+lists become KB phrase ids, candidates become packed int64 triple keys, and
+filters (a)-(c) are array operations over blocks of positives.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .ioutil import atomic_write_text
-from .kb import HEAD, SLOTS, TAIL, KnowledgeBase, LabeledTriple, ParseError, Phrase
+from .kb import SLOTS, KnowledgeBase, LabeledTriple, ParseError, Phrase, intern_phrase
 from .retrieval import PhraseIndex, knn
+
+# Grid cells (positive x slot x neighbor rank) expanded at a time.
+_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -39,31 +48,61 @@ def generate_candidates(kb: KnowledgeBase, index: PhraseIndex, k: int) -> list[C
     by ascending distance. Duplicate candidate triples keep their first
     occurrence only, so each positive yields at most 2k candidates and
     usually fewer.
+
+    The work is done on the KB's integer view (`kb.ids`): `knn` runs once per
+    KB phrase, each block of positives expands to a (positive, slot,
+    neighbor rank) grid of packed triple keys, and the slot filter and the
+    KB membership test are binary searches over packed keys. `Candidate`
+    objects are made only for the survivors.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    neighbor_cache: dict[Phrase, list[tuple[Phrase, float]]] = {}
-    seen: set[tuple] = set()
+    ids = kb.ids
+    # Row i: the k-NN list of KB phrase i as KB phrase ids, -1 for a neighbor
+    # the KB does not store (no slot admits it) and as padding.
+    lists = [
+        [kb.phrase_positions.get(p, -1) for p, _ in knn(index, phrase, k)]
+        for phrase in kb.phrases
+    ]
+    width = max(map(len, lists), default=0)
+    if width == 0:
+        return []
+    neighbors = np.full((len(lists), width), -1, dtype=np.int64)
+    for i, row in enumerate(lists):
+        neighbors[i, : len(row)] = row
+
+    # Grid cell (positive, slot, rank) has flat position
+    # (positive * 2 + slot) * width + rank - 1: emission order.
+    cells = 2 * width
+    block = max(1, _BLOCK_CELLS // cells)
+    slot = np.arange(2)[None, :, None]
+    positions, keys, replacements = [], [], []
+    for start in range(0, len(ids.rows), block):
+        h, r, t = ids.rows[start : start + block].T
+        sub = np.stack([neighbors[h], neighbors[t]], axis=1)
+        heads, relations, tails = h[:, None, None], r[:, None, None], t[:, None, None]
+        new_heads = np.where(slot == 0, sub, heads)
+        new_tails = np.where(slot == 1, sub, tails)
+        keep = ids.slot_allows(relations, slot, sub)
+        keep &= ~ids.contains(new_heads, relations, new_tails)
+        (flat,) = np.nonzero(keep.ravel())
+        positions.append(start * cells + flat)
+        keys.append(ids.pack(new_heads, relations, new_tails).ravel()[flat])
+        replacements.append(sub.ravel()[flat])
+    # Survivors are in emission order, so the first index of each key is its
+    # first occurrence.
+    _, first = np.unique(np.concatenate(keys), return_index=True)
+    first.sort()
+    positions = np.concatenate(positions)[first]
+    replacements = np.concatenate(replacements)[first]
     out: list[Candidate] = []
-    for positive in kb.triples:
-        for slot in (HEAD, TAIL):
-            original = positive.phrase(slot)
-            neighbors = neighbor_cache.get(original)
-            if neighbors is None:
-                neighbors = knn(index, original, k)
-                neighbor_cache[original] = neighbors
-            allowed = kb.slot_phrases(positive.relation, slot)
-            for rank, (replacement, _) in enumerate(neighbors, start=1):
-                if replacement not in allowed:
-                    continue
-                triple = positive.replace(slot, replacement, label=0)
-                if kb.contains(triple):
-                    continue
-                key = triple.key()
-                if key in seen:
-                    continue
-                seen.add(key)
-                out.append(Candidate(triple, positive, slot, rank))
+    for position, replacement in zip(positions.tolist(), replacements.tolist()):
+        positive_id, cell = divmod(position, cells)
+        slot_id, rank = divmod(cell, width)
+        positive = kb.triples[positive_id]
+        slot_name = SLOTS[slot_id]
+        triple = positive.replace(slot_name, kb.phrases[replacement], label=0)
+        out.append(Candidate(triple, positive, slot_name, rank + 1))
     return out
 
 
@@ -131,6 +170,7 @@ def write_candidates_tsv(candidates: list[Candidate], path: str | Path) -> None:
 
 def read_candidates_tsv(path: str | Path) -> list[Candidate]:
     out = []
+    phrases: dict[str, Phrase] = {}
     with open(path, encoding="utf-8") as f:
         for line_no, raw in enumerate(f, start=1):
             line = raw.rstrip("\n")
@@ -147,8 +187,15 @@ def read_candidates_tsv(path: str | Path) -> list[Candidate]:
             try:
                 out.append(
                     Candidate(
-                        LabeledTriple(Phrase.parse(head), relation, Phrase.parse(tail), 0),
-                        LabeledTriple(Phrase.parse(src_head), relation, Phrase.parse(src_tail), 1),
+                        LabeledTriple(
+                            intern_phrase(phrases, head), relation, intern_phrase(phrases, tail), 0
+                        ),
+                        LabeledTriple(
+                            intern_phrase(phrases, src_head),
+                            relation,
+                            intern_phrase(phrases, src_tail),
+                            1,
+                        ),
                         slot,
                         rank,
                     )

@@ -7,11 +7,14 @@ which round-trips every double exactly, keeping reruns byte-identical.
 """
 from __future__ import annotations
 
+import logging
 import os
 import tempfile
 from pathlib import Path
 
 import numpy as np
+
+logger = logging.getLogger(__name__)
 
 
 def format_float(x: float) -> str:
@@ -41,7 +44,12 @@ class LockError(RuntimeError):
 
 
 class DirectoryLock:
-    """Exclusive advisory lock on an output directory via an O_EXCL lockfile."""
+    """Exclusive advisory lock on an output directory via an O_EXCL lockfile.
+
+    The lockfile holds its owner's pid. A lockfile whose pid names no live
+    process was left by a run that died; it is reclaimed. A live pid, or
+    content that is not a positive integer, keeps the directory locked.
+    """
 
     def __init__(self, directory: str | Path, name: str = ".lock"):
         self.path = Path(directory) / name
@@ -49,11 +57,44 @@ class DirectoryLock:
 
     def __enter__(self) -> "DirectoryLock":
         try:
-            self._fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            self._fd = self._create()
         except FileExistsError:
-            raise LockError(f"lockfile exists: {self.path} (another run in progress?)") from None
+            if not self._reclaim_stale():
+                raise LockError(
+                    f"lockfile exists: {self.path} (another run in progress?)"
+                ) from None
+            try:
+                self._fd = self._create()
+            except FileExistsError:
+                raise LockError(f"lockfile exists: {self.path} (another run took it)") from None
         os.write(self._fd, str(os.getpid()).encode())
         return self
+
+    def _create(self) -> int:
+        return os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+
+    def _reclaim_stale(self) -> bool:
+        """Remove our lockfile if the pid in it is dead; True if it is gone."""
+        try:
+            content = self.path.read_bytes()
+            pid = int(content.decode("ascii"))
+        except (OSError, ValueError):
+            return False
+        if not _process_exited(pid):
+            return False
+        # Move the file aside before deleting it, so that a lock another run
+        # has just put in its place is never deleted.
+        aside = self.path.with_name(f"{self.path.name}.{os.getpid()}.stale")
+        try:
+            os.rename(self.path, aside)
+        except FileNotFoundError:
+            return True  # someone else reclaimed it first
+        if aside.read_bytes() != content:
+            os.rename(aside, self.path)
+            return False
+        aside.unlink()
+        logger.warning("reclaimed stale lockfile %s of exited pid %d", self.path, pid)
+        return True
 
     def __exit__(self, *exc) -> None:
         if self._fd is not None:
@@ -61,6 +102,19 @@ class DirectoryLock:
             self._fd = None
         if self.path.exists():
             self.path.unlink()
+
+
+def _process_exited(pid: int) -> bool:
+    """True iff `pid` is a valid pid that names no process."""
+    if pid < 1:
+        return False
+    try:
+        os.kill(pid, 0)  # signal 0: existence check only
+    except ProcessLookupError:
+        return True
+    except (OSError, OverflowError):  # alive but not ours, or not a pid
+        return False
+    return False
 
 
 def derive_seed(seed: int, *salt: int) -> int:

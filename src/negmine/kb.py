@@ -6,13 +6,23 @@ finite relation dictionary. The on-disk format is one triple per line:
     relation<TAB>head phrase<TAB>tail phrase[<TAB>label]
 
 UTF-8, ``#``-prefixed comment lines ignored.
+
+Besides the object API, a KB offers one integer view of its stored positives,
+`KnowledgeBase.ids` (an `IdView`, built on first use): phrase ids are
+`phrase_positions`, relation ids number `sorted(relations)`, and every stored
+positive packs to one int64 key, kept sorted so that membership of a whole
+batch of id rows is one `np.searchsorted`. The negative generators
+(`candidates.generate_candidates`, `scorer.corruption_examples`) work on it.
 """
 from __future__ import annotations
 
 import logging
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
+
+import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -54,6 +64,17 @@ class Phrase:
 
     def __str__(self) -> str:
         return self.text
+
+
+def intern_phrase(cache: dict[str, "Phrase"], text: str) -> Phrase:
+    """`Phrase.parse(text)`, parsed once per distinct text of `cache`.
+
+    Only successful parses are cached, so bad text raises every time.
+    """
+    phrase = cache.get(text)
+    if phrase is None:
+        phrase = cache[text] = Phrase.parse(text)
+    return phrase
 
 
 @dataclass(frozen=True)
@@ -135,8 +156,78 @@ class KnowledgeBase:
         """True iff (head, relation, tail) is a stored positive."""
         return triple.key() in self._keys
 
+    @cached_property
+    def ids(self) -> "IdView":
+        """Integer view of the stored positives, built on first use."""
+        return IdView(self)
+
     def __len__(self) -> int:
         return len(self.triples)
+
+
+def _member(sorted_keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Elementwise `queries in sorted_keys` by binary search."""
+    if not len(sorted_keys):
+        return np.zeros(queries.shape, dtype=bool)
+    pos = np.searchsorted(sorted_keys, queries)
+    np.minimum(pos, len(sorted_keys) - 1, out=pos)
+    return sorted_keys[pos] == queries
+
+
+class IdView:
+    """A KB's stored positives as integer ids and packed int64 keys.
+
+    Phrase ids are the KB's `phrase_positions`; relation ids number
+    `relations`, which is `sorted(kb.relations)`. Id -1 stands for a phrase
+    or relation the KB does not store. `rows` holds the stored positives as
+    (head, relation, tail) id rows in KB order. A row packs to the key
+    `(head * R + relation) * P + tail` (P phrases, R relations); `keys` holds
+    the stored positives' keys sorted. `slot_keys` packs the slot index the
+    same way: `(slot * R + relation) * P + phrase`, slot 0 head and 1 tail.
+    """
+
+    def __init__(self, kb: KnowledgeBase):
+        self.phrase_positions = kb.phrase_positions
+        self.n_phrases = len(kb.phrases)
+        self.relations: tuple[str, ...] = tuple(sorted(kb.relations))
+        self.relation_positions = {r: i for i, r in enumerate(self.relations)}
+        if 2 * len(self.relations) * self.n_phrases**2 >= 2**63:
+            raise ValueError("KB too large to pack its triples into int64 keys")
+        self.rows = self.encode(kb.triples)
+        heads, relations, tails = self.rows.T
+        self.keys = np.sort(self.pack(heads, relations, tails))
+        self.slot_keys = np.unique(
+            np.concatenate(
+                [self.pack_slot(relations, 0, heads), self.pack_slot(relations, 1, tails)]
+            )
+        )
+
+    def encode(self, triples) -> np.ndarray:
+        """(n, 3) int64 id rows of `triples`; -1 where the KB lacks the item."""
+        phrase = self.phrase_positions.get
+        relation = self.relation_positions.get
+        flat = [
+            i
+            for t in triples
+            for i in (phrase(t.head, -1), relation(t.relation, -1), phrase(t.tail, -1))
+        ]
+        return np.asarray(flat, dtype=np.int64).reshape(-1, 3)
+
+    def pack(self, heads, relations, tails) -> np.ndarray:
+        return (heads * len(self.relations) + relations) * self.n_phrases + tails
+
+    def pack_slot(self, relations, slot, phrases) -> np.ndarray:
+        return (slot * len(self.relations) + relations) * self.n_phrases + phrases
+
+    def contains(self, heads, relations, tails) -> np.ndarray:
+        """Elementwise: is (head, relation, tail) a stored positive?"""
+        known = (heads >= 0) & (relations >= 0) & (tails >= 0)
+        return known & _member(self.keys, self.pack(heads, relations, tails))
+
+    def slot_allows(self, relations, slot, phrases) -> np.ndarray:
+        """Elementwise: has `relation` seen `phrase` in `slot` (0 head, 1 tail)?"""
+        known = (relations >= 0) & (phrases >= 0)
+        return known & _member(self.slot_keys, self.pack_slot(relations, slot, phrases))
 
 
 def build_slot_index(triples: list[LabeledTriple]) -> dict[tuple[str, str], frozenset[Phrase]]:
@@ -164,6 +255,7 @@ def load_tsv(
     expected = 4 if has_labels else 3
     triples: list[LabeledTriple] = []
     seen_positive: set[tuple] = set()
+    phrases: dict[str, Phrase] = {}
     duplicates = 0
     with open(path, encoding="utf-8") as f:
         for line_no, raw in enumerate(f, start=1):
@@ -186,8 +278,8 @@ def load_tsv(
             else:
                 label = 1
             try:
-                head = Phrase.parse(head_text)
-                tail = Phrase.parse(tail_text)
+                head = intern_phrase(phrases, head_text)
+                tail = intern_phrase(phrases, tail_text)
             except ValueError as exc:
                 raise ParseError(path, line_no, str(exc)) from exc
             triple = LabeledTriple(head, relation, tail, label)
@@ -229,8 +321,6 @@ def build_true_negative_split(
     The remaining positives form the training split and the returned KB's
     triple store.
     """
-    import numpy as np
-
     base_relations = sorted(
         r for r in kb.relations if (negation_prefix + r) in kb.relations
     )

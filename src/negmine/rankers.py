@@ -17,7 +17,7 @@ import numpy as np
 
 from .candidates import Candidate
 from .ioutil import atomic_write_text, format_float
-from .kb import LabeledTriple, ParseError, Phrase
+from .kb import LabeledTriple, ParseError, Phrase, intern_phrase
 from .scorer import (
     ScorerParams,
     ThresholdMap,
@@ -313,20 +313,6 @@ def rank_grad_fast(
     return _rank_descending(candidates, keys)
 
 
-def loss_ranked(params: ScorerParams, candidates: list[Candidate]) -> list[tuple[Candidate, float]]:
-    """Diagnostic only: candidates by descending loss at a forced positive label.
-
-    Kept for side-by-side comparison with the gradient key; no ranking
-    quality claim is attached to it.
-    """
-    losses = []
-    for c in candidates:
-        loss, _ = loss_and_gradient(params, c.triple, 1)
-        losses.append(loss)
-    order = np.argsort(-np.asarray(losses), kind="stable")
-    return [(candidates[int(i)], float(losses[int(i)])) for i in order]
-
-
 def pearson(xs, ys) -> float:
     """Sample Pearson correlation; zero variance in either input is an error."""
     x = np.asarray(xs, dtype=np.float64)
@@ -369,7 +355,11 @@ class RankedRow:
 
 
 def read_ranked_tsv(path: str | Path) -> list[RankedRow]:
+    """Rows of a ranked file, which must hold distinct triples ranked 1..n."""
     rows = []
+    phrases: dict[str, Phrase] = {}
+    line_of_rank: dict[int, int] = {}
+    seen: set[tuple] = set()
     with open(path, encoding="utf-8") as f:
         for line_no, raw in enumerate(f, start=1):
             line = raw.rstrip("\n")
@@ -382,14 +372,26 @@ def read_ranked_tsv(path: str | Path) -> list[RankedRow]:
             if method not in RANK_METHODS:
                 raise ParseError(path, line_no, f"unknown ranking method {method!r}")
             try:
-                rows.append(
-                    RankedRow(
-                        int(rank_text),
-                        LabeledTriple(Phrase.parse(head), relation, Phrase.parse(tail), 0),
-                        float(key_text),
-                        method,
-                    )
+                row = RankedRow(
+                    int(rank_text),
+                    LabeledTriple(
+                        intern_phrase(phrases, head), relation, intern_phrase(phrases, tail), 0
+                    ),
+                    float(key_text),
+                    method,
                 )
             except ValueError as exc:
                 raise ParseError(path, line_no, str(exc)) from None
+            if row.rank < 1 or row.rank in line_of_rank:
+                raise ParseError(path, line_no, f"rank {row.rank} repeated or below 1")
+            line_of_rank[row.rank] = line_no
+            if row.triple.key() in seen:
+                raise ParseError(path, line_no, f"duplicate triple {relation!r} {head!r} {tail!r}")
+            seen.add(row.triple.key())
+            rows.append(row)
+    if line_of_rank and max(line_of_rank) > len(rows):
+        rank = max(line_of_rank)
+        raise ParseError(
+            path, line_of_rank[rank], f"rank {rank} exceeds the row count {len(rows)}"
+        )
     return rows

@@ -7,12 +7,10 @@ results verifiable against a naive full scan.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .ioutil import atomic_write_text, format_float
 from .kb import Phrase
 
 
@@ -77,11 +75,3 @@ def knn_brute_force(index: PhraseIndex, query: Phrase, k: int) -> list[tuple[Phr
         scored.append((float(np.sqrt(diff @ diff)), i, phrase))
     scored.sort(key=lambda item: (item[0], item[1]))
     return [(phrase, dist) for dist, _, phrase in scored[:k]]
-
-
-def write_embeddings_tsv(index: PhraseIndex, path: str | Path) -> None:
-    """Dump `phrase<TAB>v1,v2,...,vH` rows for external inspection."""
-    lines = []
-    for phrase, row in zip(index.phrases, index.matrix):
-        lines.append(phrase.text + "\t" + ",".join(format_float(v) for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")

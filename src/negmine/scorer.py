@@ -16,6 +16,11 @@ token-count matrix `A` (batch x the batch's distinct tokens), so the forward
 pass is `A @ emb[ids]`, the embedding gradient is `A.T @ dm`, and the
 optimizer steps only those rows. Forward-only scoring pools from per-phrase
 embedding sums, computed once per call.
+
+Contrastive corruptions are drawn on the KB's integer view (`kb.ids`), whose
+phrase ids match the training `PhraseTable`: an epoch's replacements are
+integer arrays, collisions with stored positives are found by binary search
+over packed triple keys, and only the colliding entries are redrawn.
 """
 from __future__ import annotations
 
@@ -28,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kb import HEAD, TAIL, KnowledgeBase, LabeledTriple, Phrase
+from .kb import HEAD, TAIL, IdView, KnowledgeBase, LabeledTriple, Phrase
 
 logger = logging.getLogger(__name__)
 
@@ -267,32 +272,57 @@ def corrupt(
     """Replace one slot with a uniform draw from the KB, excluding the original.
 
     Draws that land on an in-KB positive are resampled up to a bounded number
-    of retries; exhausting them skips the corruption (returns None).
+    of retries; exhausting them skips the corruption (returns None). This is
+    `corruption_examples` for one positive and one mode.
     """
-    if mode not in CORRUPTION_MODES:
-        raise ValueError(f"unknown corruption mode {mode!r}")
+    ids = kb.ids
+    rows = _draw_corruptions(ids, ids.encode([positive]), [mode], rng)
+    if not len(rows):
+        return None
+    head, relation, tail = rows[0].tolist()
     if mode == "relation":
-        pool: tuple = tuple(sorted(kb.relations))
-        skip = pool.index(positive.relation) if positive.relation in kb.relations else None
-    else:
-        pool = kb.phrases
-        skip = kb.phrase_positions.get(positive.phrase(HEAD if mode == "head" else TAIL))
-    n = len(pool) - (skip is not None)
-    if n < 1:
+        return LabeledTriple(positive.head, ids.relations[relation], positive.tail, 0)
+    if mode == "head":
+        return positive.replace(HEAD, kb.phrases[head], label=0)
+    return positive.replace(TAIL, kb.phrases[tail], label=0)
+
+
+def _draw_corruptions(
+    ids: IdView, positives: np.ndarray, modes: list[str], rng: np.random.Generator
+) -> np.ndarray:
+    """Corrupted id rows, one per (positive, mode) in that order, minus skips.
+
+    Each entry replaces its mode's column with a uniform draw from the KB's
+    phrases (or relations), excluding the original: a draw j >= original
+    becomes j + 1. Entries that land on a stored positive are redrawn
+    together, for up to CORRUPT_RETRIES rounds in all; those still colliding
+    are skipped.
+    """
+    for mode in modes:
+        if mode not in CORRUPTION_MODES:
+            raise ValueError(f"unknown corruption mode {mode!r}")
+    columns = np.asarray([CORRUPTION_MODES.index(m) for m in modes], dtype=np.int64)
+    rows = np.repeat(positives, len(modes), axis=0)
+    column = np.tile(columns, len(positives))
+    original = rows[np.arange(len(rows)), column]
+    has_original = original >= 0
+    pool = np.where(column == 1, len(ids.relations), ids.n_phrases) - has_original
+    if len(pool) and pool.min() < 1:
+        mode = CORRUPTION_MODES[column[pool.argmin()]]
         raise ValueError(f"KB too small to corrupt {mode}: no replacement differs from the original")
+    pending = np.arange(len(rows))
     for _ in range(CORRUPT_RETRIES):
-        j = int(rng.integers(n))
-        if skip is not None and j >= skip:
-            j += 1
-        replacement = pool[j]
-        if mode == "relation":
-            candidate = LabeledTriple(positive.head, replacement, positive.tail, 0)
-        else:
-            candidate = positive.replace(HEAD if mode == "head" else TAIL, replacement, label=0)
-        if not kb.contains(candidate):
-            return candidate
-    logger.debug("corrupt(%s) skipped after %d in-KB collisions", mode, CORRUPT_RETRIES)
-    return None
+        if not len(pending):
+            break
+        j = rng.integers(pool[pending])
+        j += has_original[pending] & (j >= original[pending])
+        rows[pending, column[pending]] = j
+        pending = pending[ids.contains(*rows[pending].T)]
+    if len(pending):
+        logger.debug(
+            "%d corruptions skipped after %d in-KB collisions", len(pending), CORRUPT_RETRIES
+        )
+    return np.delete(rows, pending, axis=0)
 
 
 @dataclass
@@ -525,16 +555,15 @@ def corruption_examples(
     positives: list[LabeledTriple],
     config: TrainConfig,
     rng: np.random.Generator,
-) -> list[LabeledTriple]:
-    """One corrupted negative per positive per configured mode; skips logged."""
-    negatives = []
-    modes = config.modes()
-    for pos in positives:
-        for mode in modes:
-            neg = corrupt(kb, pos, mode, rng)
-            if neg is not None:
-                negatives.append(neg)
-    return negatives
+) -> np.ndarray:
+    """One corrupted negative per positive per configured mode; skips logged.
+
+    Returns (n, 3) int64 id rows of `kb.ids`: head phrase id, relation id,
+    tail phrase id, in (positive, mode) order. A phrase or relation of a
+    positive that the KB does not store stays -1.
+    """
+    ids = kb.ids
+    return _draw_corruptions(ids, ids.encode(positives), config.modes(), rng)
 
 
 def train_contrastive(
@@ -545,15 +574,28 @@ def train_contrastive(
     if not positives:
         raise ValueError("training split is empty")
     rng = np.random.default_rng([config.seed, 2])
-    # Corruptions draw from the KB's phrases, so with all of them in the table
-    # up front, encoding an epoch's negatives never adds a phrase.
+    ids = kb.ids
+    pos_ids = ids.encode(positives)
+    if (pos_ids < 0).any():
+        raise ValueError("training split holds a phrase or relation the KB does not store")
+    # The table numbers the KB's phrases like `kb.ids`, so an id row becomes
+    # a table row by mapping its relation id to the relation's token id.
     table = PhraseTable(params.vocab, kb.phrases)
-    pos_rows = table.encode(positives)
+    relation_tokens = np.asarray(
+        [params.vocab.relation_id(r) for r in ids.relations], dtype=np.int64
+    )
+
+    def table_rows(id_rows: np.ndarray) -> np.ndarray:
+        rows = id_rows.copy()
+        rows[:, 1] = relation_tokens[id_rows[:, 1]]
+        return rows
+
+    pos_rows = table_rows(pos_ids)
     pos_labels = np.ones(len(positives))
 
     def epoch_examples():
         negatives = corruption_examples(kb, positives, config, rng)
-        rows = np.concatenate([pos_rows, table.encode(negatives)])
+        rows = np.concatenate([pos_rows, table_rows(negatives)])
         return rows, np.concatenate([pos_labels, np.zeros(len(negatives))])
 
     return params, _train(params, table, config, rng, epoch_examples)

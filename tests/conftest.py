@@ -12,6 +12,14 @@ def make_triple(rel, head, tail, label=1):
     return LabeledTriple(Phrase.parse(head), rel, Phrase.parse(tail), label)
 
 
+def decode_id_rows(kb, rows, label=0):
+    """Triples of `kb.ids` id rows (head phrase, relation, tail phrase)."""
+    return [
+        LabeledTriple(kb.phrases[h], kb.ids.relations[r], kb.phrases[t], label)
+        for h, r, t in rows.tolist()
+    ]
+
+
 def rewrite_checkpoint_header(path, edit):
     """Apply `edit` to a saved checkpoint's JSON header, keeping its blobs."""
     data = path.read_bytes()

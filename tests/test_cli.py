@@ -1,4 +1,7 @@
 """End-to-end tests for the pipeline subcommands."""
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -128,11 +131,36 @@ class TestLocking:
     def test_held_lock_rejected(self, workspace, capsys, tmp_path):
         out_dir = tmp_path / "out"
         out_dir.mkdir()
-        (out_dir / ".lock").write_text("123", encoding="utf-8")
+        # A lock names its holder's pid; this process is certainly alive.
+        (out_dir / ".lock").write_text(str(os.getpid()), encoding="utf-8")
         code = run("train", "--config", str(workspace))
         err = capsys.readouterr().err
         assert code == 3
         assert "lockfile exists" in err
+
+    def test_stale_lock_of_exited_process_reclaimed(self, workspace, capsys, tmp_path):
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()  # reaped, so its pid names no process
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        (out_dir / ".lock").write_text(str(child.pid), encoding="utf-8")
+        assert run("train", "--config", str(workspace)) == 0
+        capsys.readouterr()
+        assert (out_dir / "scorer.ckpt").exists()
+        assert not (out_dir / ".lock").exists()
+
+    @pytest.mark.parametrize(
+        "content", ["", "not a pid", "12ab", "-5", "0", "99999999999999999999", "\xff"]
+    )
+    def test_unreadable_lock_refused(self, workspace, capsys, tmp_path, content):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        (out_dir / ".lock").write_text(content, encoding="latin-1")
+        code = run("train", "--config", str(workspace))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "lockfile exists" in err
+        assert (out_dir / ".lock").read_text(encoding="latin-1") == content
 
     def test_lock_released_after_run(self, workspace, tmp_path):
         assert run("train", "--config", str(workspace)) == 0
@@ -190,6 +218,25 @@ class TestPipelineIntegration:
         lines = (tmp_path / "out" / "negatives.tsv").read_text().splitlines()
         assert lines
         assert all(line.endswith("\t0") for line in lines)
+
+    @pytest.mark.parametrize(
+        "ranked, message",
+        [
+            ("1\tR0\ta\tb\t0.0\tnone\n2\tR0\ta\tb\t0.0\tnone\n", "duplicate triple"),
+            ("1\tR0\ta\tb\t0.0\tnone\n3\tR0\ta\tc\t0.0\tnone\n", "rank 3 exceeds"),
+        ],
+    )
+    def test_evaluate_rejects_malformed_ranked_file(
+        self, workspace, tmp_path, capsys, ranked, message
+    ):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "ranked.tsv").write_text(ranked, encoding="utf-8")
+        code = run("evaluate", "--config", str(workspace), "--sampler", "negater-none",
+                   "--trials", "1")
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("negmine: invalid:") and "ranked.tsv:2:" in err and message in err
 
     def test_evaluate_rejects_mismatched_ranked_method(self, workspace, tmp_path, capsys):
         for argv in (

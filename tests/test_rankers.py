@@ -13,7 +13,6 @@ from negmine.rankers import (
     fit_gradient_predictor,
     fit_mae_regressor,
     gradient_magnitude,
-    loss_ranked,
     pearson,
     rank_grad,
     rank_grad_fast,
@@ -27,7 +26,6 @@ from negmine.scorer import (
     TokenVocab,
     encode,
     init_params,
-    loss_and_gradient,
     score,
 )
 
@@ -342,17 +340,6 @@ class TestRankNone:
         ]
 
 
-class TestLossRanked:
-    def test_descending_and_consistent(self):
-        params, candidates = random_setup(n=15, seed=25)
-        out = loss_ranked(params, candidates)
-        losses = [loss for _, loss in out]
-        assert losses == sorted(losses, reverse=True)
-        for c, loss in out:
-            expected, _ = loss_and_gradient(params, c.triple, 1)
-            assert loss == pytest.approx(expected, rel=1e-12)
-
-
 class TestPearson:
     def test_perfect_linear(self):
         assert pearson([1, 2, 3], [2, 4, 6]) == pytest.approx(1.0, abs=1e-12)
@@ -410,6 +397,28 @@ class TestRankedTsv:
 
         with pytest.raises(ParseError, match="method"):
             read_ranked_tsv(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1\tR\ta\tb\t0.5\tgrad\n2\tR\ta\tb\t0.4\tgrad\n", "bad\\.tsv:2: duplicate triple"),
+            ("1\tR\ta\tb\t0.5\tgrad\n1\tR\ta\tc\t0.4\tgrad\n", "bad\\.tsv:2: rank 1 repeated"),
+            ("0\tR\ta\tb\t0.5\tgrad\n", "bad\\.tsv:1: rank 0 repeated or below 1"),
+            ("1\tR\ta\tb\t0.5\tgrad\n3\tR\ta\tc\t0.4\tgrad\n", "bad\\.tsv:2: rank 3 exceeds"),
+        ],
+    )
+    def test_rejects_duplicates_and_non_permutation_ranks(self, tmp_path, text, message):
+        from negmine.kb import ParseError
+
+        path = tmp_path / "bad.tsv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=message):
+            read_ranked_tsv(path)
+
+    def test_shuffled_permutation_accepted(self, tmp_path):
+        path = tmp_path / "r.tsv"
+        path.write_text("2\tR\ta\tb\t0.5\tnone\n3\tR\ta\tc\t0.4\tnone\n1\tS\ta\tb\t0.1\tnone\n")
+        assert [row.rank for row in read_ranked_tsv(path)] == [2, 3, 1]
 
     def test_rewrite_byte_identical(self, tmp_path):
         ranked = self._ranked()

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from negmine.kb import Phrase
-from negmine.retrieval import build_index, knn, knn_brute_force, write_embeddings_tsv
+from negmine.retrieval import build_index, knn, knn_brute_force
 
 
 def phrases(n):
@@ -106,27 +106,3 @@ class TestKnn:
             np.testing.assert_allclose(
                 [d for _, d in fast], [d for _, d in slow], rtol=1e-9, atol=1e-12
             )
-
-
-class TestEmbeddingDump:
-    def test_tsv_layout_and_roundtrip_floats(self, tmp_path):
-        p1, p2 = phrases(2)
-        index = build_index([p1, p2], fixed_embed({p1: [0.5, -1.25], p2: [3.0, 0.1]}))
-        path = tmp_path / "emb.tsv"
-        write_embeddings_tsv(index, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "p0\t0.5,-1.25"
-        name, vec = lines[1].split("\t")
-        assert name == "p1"
-        assert [float(v) for v in vec.split(",")] == [3.0, 0.1]
-
-    def test_rewrite_byte_identical(self, tmp_path):
-        ps = phrases(10)
-        rng = np.random.default_rng(3)
-        table = {p: rng.normal(size=5) for p in ps}
-        index = build_index(ps, fixed_embed(table))
-        a = tmp_path / "a.tsv"
-        b = tmp_path / "b.tsv"
-        write_embeddings_tsv(index, a)
-        write_embeddings_tsv(index, b)
-        assert a.read_bytes() == b.read_bytes()

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import decode_id_rows
 
 from negmine.kb import HEAD, TAIL, KnowledgeBase, LabeledTriple, Phrase
 from negmine.scorer import (
@@ -440,7 +441,7 @@ class TestTraining:
         from negmine.scorer import corruption_examples
 
         rng = np.random.default_rng(999)
-        negatives = corruption_examples(kb, list(kb.triples), config, rng)
+        negatives = decode_id_rows(kb, corruption_examples(kb, list(kb.triples), config, rng))
         examples = list(kb.triples) + negatives
         labels = np.array([x.label for x in examples])
         preds = (score_batch(params, examples) > 0.5).astype(int)
@@ -477,6 +478,13 @@ class TestTraining:
         kb.splits.train.clear()
         params = init_params(TokenVocab.from_kb(kb), hidden_dim=8, seed=0)
         with pytest.raises(ValueError, match="empty"):
+            train_contrastive(params, kb, TrainConfig(epochs=1, seed=0))
+
+    def test_training_split_outside_the_store_rejected(self):
+        kb = toy_kb()
+        kb.splits.train.append(t("likes", "a0", "zz"))
+        params = init_params(TokenVocab.from_kb(kb), hidden_dim=8, seed=0)
+        with pytest.raises(ValueError, match="does not store"):
             train_contrastive(params, kb, TrainConfig(epochs=1, seed=0))
 
     def test_config_validation(self):
@@ -569,7 +577,7 @@ class TestThresholds:
         from negmine.scorer import corruption_examples
 
         rng = np.random.default_rng(123)
-        negatives = corruption_examples(kb, list(kb.triples), config, rng)
+        negatives = decode_id_rows(kb, corruption_examples(kb, list(kb.triples), config, rng))
         validation = list(kb.triples) + negatives
         thresholds = fit_thresholds(params, validation)
         correct = [
