@@ -1,7 +1,7 @@
 """Pipeline driver: each stage is a subcommand over one shared config.
 
 Configuration precedence: built-in defaults, then the ``--config`` file, then
-the environment (output directory and thread count only), then flags.
+the environment (output directory only), then flags.
 
 Exit codes: 0 success; 2 a required stage input is missing; 3 configuration
 or data validation failed; 4 an internal invariant broke. Every failure
@@ -207,7 +207,7 @@ def cmd_rank(config: PipelineConfig, dry_run: bool) -> None:
             params, thresholds, candidates, config.keep_fraction, seed=config.seed
         )
     elif config.method == "grad":
-        ranked = rank_grad(params, candidates, threads=config.threads)
+        ranked = rank_grad(params, candidates)
     elif config.method == "grad-fast":
         n = min(config.n, len(candidates))
         if n < config.n:

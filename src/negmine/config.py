@@ -2,15 +2,15 @@
 
 A config file holds one ``key=value`` assignment per line; blank lines and
 ``#`` comments are skipped. Keys are the field names of `PipelineConfig`.
-Values from the file are overridden by the environment (output directory and
-thread count only) and then by command-line flags.
+Values from the file are overridden by the environment (output directory
+only) and then by command-line flags.
 
 Keys:
   paths     kb, lexicon, output_dir, checkpoint, candidates, ranked
   model     hidden_dim, epochs, learning_rate, batch_size, train_negatives,
             corruption_mode
   pipeline  k, keep_fraction, method, n, hops, sampler, baseline, trials,
-            eval_negatives, seed, threads
+            eval_negatives, seed
   data      split (none | true-negatives), negation_prefix,
             validation_fraction, split_seed, kb_columns, trained_embeddings
 
@@ -31,7 +31,6 @@ from .scorer import CORRUPTION_MODES
 SPLIT_MODES = ("none", "true-negatives")
 
 ENV_OUTPUT_DIR = "NEGMINE_OUTPUT_DIR"
-ENV_THREADS = "NEGMINE_THREADS"
 
 
 def _parse_bool(text: str) -> bool:
@@ -69,7 +68,6 @@ class PipelineConfig:
     trials: int = 5
     eval_negatives: int = 1
     seed: int = 0
-    threads: int = 1
     # Data handling.
     split: str = "none"
     negation_prefix: str = "Not"
@@ -109,8 +107,6 @@ class PipelineConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.eval_negatives < 1:
             raise ValueError(f"eval_negatives must be >= 1, got {self.eval_negatives}")
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
         if self.split not in SPLIT_MODES:
             raise ValueError(f"unknown split {self.split!r}; expected one of {SPLIT_MODES}")
         if not self.negation_prefix:
@@ -212,11 +208,6 @@ def build_config(
     env = env or {}
     if ENV_OUTPUT_DIR in env:
         values["output_dir"] = env[ENV_OUTPUT_DIR]
-    if ENV_THREADS in env:
-        try:
-            values["threads"] = int(env[ENV_THREADS])
-        except ValueError:
-            raise ValueError(f"{ENV_THREADS} must be an integer, got {env[ENV_THREADS]!r}") from None
     for key, value in (overrides or {}).items():
         if value is not None:
             values[key] = value

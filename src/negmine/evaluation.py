@@ -349,13 +349,15 @@ def _draw_negatives(
         return assign_ranked(
             train, _ranked_triples(config.ranked), config.negatives_per_positive
         )
+    if config.sampler == "uniform":
+        # Salt 50: a stream no other draw of the trial uses.
+        rng = np.random.default_rng([trial_seed, 50])
+        return sample_uniform(kb, train, config.negatives_per_positive, rng)
     out: list[LabeledTriple] = []
     for i, positive in enumerate(train):
         rng = np.random.default_rng([trial_seed, i])
         for _ in range(config.negatives_per_positive):
-            if config.sampler == "uniform":
-                neg = sample_uniform(kb, positive, rng)
-            elif config.sampler == "slots":
+            if config.sampler == "slots":
                 neg = sample_slots(kb, positive, rng)
             elif config.sampler == "antonyms":
                 neg = sample_antonyms(config.lexicon, positive, None, rng, kb=kb)

@@ -12,7 +12,8 @@ Besides the object API, a KB offers one integer view of its stored positives,
 `phrase_positions`, relation ids number `sorted(relations)`, and every stored
 positive packs to one int64 key, kept sorted so that membership of a whole
 batch of id rows is one `np.searchsorted`. The negative generators
-(`candidates.generate_candidates`, `scorer.corruption_examples`) work on it.
+(`candidates.generate_candidates`, `scorer.corruption_examples`,
+`samplers.sample_uniform`) work on it.
 """
 from __future__ import annotations
 
@@ -187,6 +188,7 @@ class IdView:
     """
 
     def __init__(self, kb: KnowledgeBase):
+        self.phrases = kb.phrases
         self.phrase_positions = kb.phrase_positions
         self.n_phrases = len(kb.phrases)
         self.relations: tuple[str, ...] = tuple(sorted(kb.relations))
@@ -212,6 +214,15 @@ class IdView:
             for i in (phrase(t.head, -1), relation(t.relation, -1), phrase(t.tail, -1))
         ]
         return np.asarray(flat, dtype=np.int64).reshape(-1, 3)
+
+    def decode(self, rows: np.ndarray) -> list[LabeledTriple]:
+        """Label-0 triples of (n, 3) id rows; -1 is an error."""
+        if (rows < 0).any():
+            raise ValueError("id row holds a phrase or relation the KB does not store")
+        phrases, relations = self.phrases, self.relations
+        return [
+            LabeledTriple(phrases[h], relations[r], phrases[t], 0) for h, r, t in rows.tolist()
+        ]
 
     def pack(self, heads, relations, tails) -> np.ndarray:
         return (heads * len(self.relations) + relations) * self.n_phrases + tails

@@ -9,7 +9,6 @@ magnitudes from pooled vectors, skipping every backward pass.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,11 +40,6 @@ class RankedCandidate:
     candidate: Candidate
     key: float
     rank: int
-
-
-def _encode_candidates(params: ScorerParams, candidates: list[Candidate]) -> np.ndarray:
-    """Pooled representations of the candidates' triples, forward only."""
-    return encode_batch(params, [c.triple for c in candidates])
 
 
 def rank_theta(
@@ -91,13 +85,11 @@ def rank_theta(
     return [ordered[i] for i in perm]
 
 
-def gradient_magnitude(
-    params: ScorerParams, candidate: Candidate | LabeledTriple, final_layer_only: bool = False
-) -> float:
+def gradient_magnitude(params: ScorerParams, candidate: Candidate | LabeledTriple) -> float:
     """L2 norm of the full parameter gradient at a forced positive label."""
     triple = candidate.triple if isinstance(candidate, Candidate) else candidate
     _, grad = loss_and_gradient(params, triple, 1)
-    return grad.norm(final_layer_only=final_layer_only)
+    return grad.norm()
 
 
 def _rank_descending(
@@ -111,28 +103,15 @@ def _rank_descending(
     ]
 
 
-def rank_grad(
-    params: ScorerParams,
-    candidates: list[Candidate],
-    final_layer_only: bool = False,
-    threads: int = 1,
-) -> list[RankedCandidate]:
+def rank_grad(params: ScorerParams, candidates: list[Candidate]) -> list[RankedCandidate]:
     """Descending exact gradient magnitude; one backward pass per candidate."""
     if not candidates:
         return []
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            keys = np.fromiter(
-                pool.map(lambda c: gradient_magnitude(params, c, final_layer_only), candidates),
-                dtype=np.float64,
-                count=len(candidates),
-            )
-    else:
-        keys = np.fromiter(
-            (gradient_magnitude(params, c, final_layer_only) for c in candidates),
-            dtype=np.float64,
-            count=len(candidates),
-        )
+    keys = np.fromiter(
+        (gradient_magnitude(params, c) for c in candidates),
+        dtype=np.float64,
+        count=len(candidates),
+    )
     return _rank_descending(candidates, keys)
 
 
@@ -275,7 +254,6 @@ def fit_gradient_predictor(
     epochs: int = 300,
     learning_rate: float = 0.05,
     batch_size: int = 64,
-    final_layer_only: bool = False,
 ) -> GradientPredictor:
     """Fit the magnitude regressor on n uniformly sampled candidates.
 
@@ -287,9 +265,9 @@ def fit_gradient_predictor(
     if n > len(candidates):
         raise ValueError(f"n={n} exceeds candidate count {len(candidates)}")
     chosen = [candidates[int(i)] for i in rng.choice(len(candidates), size=n, replace=False)]
-    features = _encode_candidates(params, chosen)
+    features = encode_batch(params, [c.triple for c in chosen])
     targets = np.fromiter(
-        (gradient_magnitude(params, c, final_layer_only) for c in chosen),
+        (gradient_magnitude(params, c) for c in chosen),
         dtype=np.float64,
         count=n,
     )
@@ -309,7 +287,7 @@ def rank_grad_fast(
         )
     if not candidates:
         return []
-    keys = predictor.predict(_encode_candidates(params, candidates))
+    keys = predictor.predict(encode_batch(params, [c.triple for c in candidates]))
     return _rank_descending(candidates, keys)
 
 

@@ -1,9 +1,12 @@
 """Baseline negative samplers: uniform, slot-constrained, antonym, and k-hop.
 
-Each sampler maps one positive triple to one label-0 corruption, or to None
-(a skip) when no valid corruption exists. Results that collide with a stored
-positive are redrawn a bounded number of times before skipping, so emitted
-negatives are always out-of-KB.
+The slot, antonym and k-hop samplers map one positive triple to one label-0
+corruption, or to None (a skip) when no valid corruption exists. The uniform
+sampler draws every corruption of a list of positives in one batch, through
+the same draw as training's corruptions (`scorer._draw_corruptions`).
+Results that collide with a stored positive are redrawn up to
+CORRUPT_RETRIES times before skipping, so emitted negatives are always
+out-of-KB.
 """
 from __future__ import annotations
 
@@ -15,10 +18,10 @@ import numpy as np
 
 from .ioutil import atomic_write_text
 from .kb import HEAD, SLOTS, TAIL, KnowledgeBase, LabeledTriple, ParseError, Phrase
+from .scorer import CORRUPT_RETRIES, _draw_corruptions
 
 logger = logging.getLogger(__name__)
 
-SAMPLE_RETRIES = 10
 POS_CLASSES = ("adjective", "noun", "verb")
 
 
@@ -148,30 +151,25 @@ class EntityGraph:
 
 
 def sample_uniform(
-    kb: KnowledgeBase, positive: LabeledTriple, rng: np.random.Generator
-) -> LabeledTriple | None:
-    """Replace head or tail (coin flip) with a uniform draw over KB phrases.
+    kb: KnowledgeBase,
+    positives: list[LabeledTriple],
+    per_positive: int,
+    rng: np.random.Generator,
+) -> list[LabeledTriple]:
+    """`per_positive` corruptions of each positive, in order, minus skips.
 
-    The original phrase of the replaced slot is excluded; draws landing on a
-    stored positive are redrawn, skipping after SAMPLE_RETRIES attempts.
+    Each entry coin-flips head or tail, then replaces that slot with a
+    uniform draw over KB phrases, excluding the original. Entries landing on
+    a stored positive are redrawn in the same slot and skipped after
+    CORRUPT_RETRIES rounds. A KB with fewer than 2 phrases yields none.
     """
-    phrases = kb.phrases
-    for _ in range(SAMPLE_RETRIES):
-        slot = SLOTS[int(rng.integers(2))]
-        original = positive.phrase(slot)
-        skip = kb.phrase_positions.get(original)
-        pool_size = len(phrases) - (skip is not None)
-        if pool_size == 0:
-            logger.debug("uniform sampler skipped %s: no other phrase", positive)
-            return None
-        j = int(rng.integers(pool_size))
-        if skip is not None and j >= skip:
-            j += 1
-        candidate = positive.replace(slot, phrases[j])
-        if not kb.contains(candidate):
-            return candidate
-    logger.debug("uniform sampler skipped %s: retries exhausted", positive)
-    return None
+    ids = kb.ids
+    if ids.n_phrases < 2:
+        logger.debug("uniform sampler skipped %d positives: no other phrase", len(positives))
+        return []
+    rows = np.repeat(ids.encode(positives), per_positive, axis=0)
+    column = 2 * rng.integers(2, size=len(rows))
+    return ids.decode(_draw_corruptions(ids, rows, column, rng))
 
 
 def sample_slots(
@@ -190,7 +188,7 @@ def sample_slots(
     if not pools[HEAD] and not pools[TAIL]:
         logger.debug("slot sampler skipped %s: both slot pools empty", positive)
         return None
-    for _ in range(SAMPLE_RETRIES):
+    for _ in range(CORRUPT_RETRIES):
         slot = SLOTS[int(rng.integers(2))]
         if not pools[slot]:
             slot = TAIL if slot == HEAD else HEAD
@@ -234,7 +232,7 @@ def sample_antonyms(
         if site is None:
             continue
         options = lexicon.antonyms(phrase.tokens[site])
-        for _ in range(SAMPLE_RETRIES):
+        for _ in range(CORRUPT_RETRIES):
             antonym = options[int(rng.integers(len(options)))]
             tokens = list(phrase.tokens)
             tokens[site] = antonym
@@ -267,7 +265,7 @@ def sample_sans(
     if not pool:
         logger.debug("k-hop sampler skipped %s: empty neighborhood", positive)
         return None
-    for _ in range(SAMPLE_RETRIES):
+    for _ in range(CORRUPT_RETRIES):
         candidate = positive.replace(slot, pool[int(rng.integers(len(pool)))])
         if not kb.contains(candidate):
             return candidate

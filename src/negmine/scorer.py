@@ -26,14 +26,13 @@ from __future__ import annotations
 
 import logging
 import math
-import threading
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .kb import HEAD, TAIL, IdView, KnowledgeBase, LabeledTriple, Phrase
+from .kb import IdView, KnowledgeBase, LabeledTriple, Phrase
 
 logger = logging.getLogger(__name__)
 
@@ -193,7 +192,6 @@ class ScorerParams:
         self.b = float(b)
         self.retrieval_emb = retrieval_emb
         self.grad_evals = 0
-        self._grad_lock = threading.Lock()
 
     def all_finite(self) -> bool:
         return bool(
@@ -203,10 +201,6 @@ class ScorerParams:
             and np.isfinite(self.w).all()
             and math.isfinite(self.b)
         )
-
-    def count_grad_evals(self, n: int) -> None:
-        with self._grad_lock:
-            self.grad_evals += n
 
 
 def init_params(vocab: TokenVocab, hidden_dim: int = 64, seed: int = 0) -> ScorerParams:
@@ -263,47 +257,25 @@ def score_batch(params: ScorerParams, triples: list[LabeledTriple]) -> np.ndarra
     return sigmoid(encode_batch(params, triples) @ params.w + params.b)
 
 
-def corrupt(
-    kb: KnowledgeBase,
-    positive: LabeledTriple,
-    mode: str,
-    rng: np.random.Generator,
-) -> LabeledTriple | None:
-    """Replace one slot with a uniform draw from the KB, excluding the original.
-
-    Draws that land on an in-KB positive are resampled up to a bounded number
-    of retries; exhausting them skips the corruption (returns None). This is
-    `corruption_examples` for one positive and one mode.
-    """
-    ids = kb.ids
-    rows = _draw_corruptions(ids, ids.encode([positive]), [mode], rng)
-    if not len(rows):
-        return None
-    head, relation, tail = rows[0].tolist()
-    if mode == "relation":
-        return LabeledTriple(positive.head, ids.relations[relation], positive.tail, 0)
-    if mode == "head":
-        return positive.replace(HEAD, kb.phrases[head], label=0)
-    return positive.replace(TAIL, kb.phrases[tail], label=0)
-
-
-def _draw_corruptions(
-    ids: IdView, positives: np.ndarray, modes: list[str], rng: np.random.Generator
-) -> np.ndarray:
-    """Corrupted id rows, one per (positive, mode) in that order, minus skips.
-
-    Each entry replaces its mode's column with a uniform draw from the KB's
-    phrases (or relations), excluding the original: a draw j >= original
-    becomes j + 1. Entries that land on a stored positive are redrawn
-    together, for up to CORRUPT_RETRIES rounds in all; those still colliding
-    are skipped.
-    """
+def _mode_columns(modes: list[str]) -> np.ndarray:
+    """Id-row column each corruption mode replaces: 0 head, 1 relation, 2 tail."""
     for mode in modes:
         if mode not in CORRUPTION_MODES:
             raise ValueError(f"unknown corruption mode {mode!r}")
-    columns = np.asarray([CORRUPTION_MODES.index(m) for m in modes], dtype=np.int64)
-    rows = np.repeat(positives, len(modes), axis=0)
-    column = np.tile(columns, len(positives))
+    return np.asarray([CORRUPTION_MODES.index(m) for m in modes], dtype=np.int64)
+
+
+def _draw_corruptions(
+    ids: IdView, rows: np.ndarray, column: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """Corrupted id `rows`, in order, minus skips; draws into `rows` in place.
+
+    Entry i replaces column `column[i]` (0 head, 1 relation, 2 tail) with a
+    uniform draw from the KB's phrases (or relations), excluding the
+    original: a draw j >= original becomes j + 1. Entries that land on a
+    stored positive are redrawn together, in the same column, for up to
+    CORRUPT_RETRIES rounds in all; those still colliding are skipped.
+    """
     original = rows[np.arange(len(rows)), column]
     has_original = original >= 0
     pool = np.where(column == 1, len(ids.relations), ids.n_phrases) - has_original
@@ -339,12 +311,11 @@ class TripleGradient:
     w: np.ndarray
     b: float
 
-    def norm(self, final_layer_only: bool = False) -> float:
+    def norm(self) -> float:
         total = float(self.w @ self.w) + self.b * self.b
-        if not final_layer_only:
-            total += float((self.ff_w * self.ff_w).sum()) + float(self.ff_b @ self.ff_b)
-            for row in self.emb_rows.values():
-                total += float(row @ row)
+        total += float((self.ff_w * self.ff_w).sum()) + float(self.ff_b @ self.ff_b)
+        for row in self.emb_rows.values():
+            total += float(row @ row)
         return math.sqrt(total)
 
 
@@ -376,7 +347,7 @@ def loss_and_gradient(
             emb_rows[i] = emb_rows[i] + dm * scale
         else:
             emb_rows[i] = dm * scale
-    params.count_grad_evals(1)
+    params.grad_evals += 1
     return loss, TripleGradient(emb_rows, dff_w, da, dw, float(dz))
 
 
@@ -470,7 +441,7 @@ def _loss_and_gradient_batch(
     dff_w = da.T @ m
     dff_b = da.sum(axis=0)
     dm = dh + da @ params.ff_w
-    params.count_grad_evals(n)
+    params.grad_evals += n
     return loss, _BatchGrads(ids, a.T @ dm, dff_w, dff_b, dw, db)
 
 
@@ -563,7 +534,9 @@ def corruption_examples(
     positive that the KB does not store stays -1.
     """
     ids = kb.ids
-    return _draw_corruptions(ids, ids.encode(positives), config.modes(), rng)
+    columns = _mode_columns(config.modes())
+    rows = np.repeat(ids.encode(positives), len(columns), axis=0)
+    return _draw_corruptions(ids, rows, np.tile(columns, len(positives)), rng)
 
 
 def train_contrastive(

@@ -1,23 +1,22 @@
-"""Shared test helpers: triple builders, checkpoint surgery, and the finite-difference oracle."""
+"""Shared test helpers: triple builders, corruption, checkpoint surgery, and the gradient oracle."""
 import json
 import math
 
 import numpy as np
 
 from negmine.kb import LabeledTriple, Phrase
-from negmine.scorer import score
+from negmine.scorer import _draw_corruptions, _mode_columns, score
 
 
 def make_triple(rel, head, tail, label=1):
     return LabeledTriple(Phrase.parse(head), rel, Phrase.parse(tail), label)
 
 
-def decode_id_rows(kb, rows, label=0):
-    """Triples of `kb.ids` id rows (head phrase, relation, tail phrase)."""
-    return [
-        LabeledTriple(kb.phrases[h], kb.ids.relations[r], kb.phrases[t], label)
-        for h, r, t in rows.tolist()
-    ]
+def corrupt(kb, positive, mode, rng):
+    """`positive` corrupted in `mode`'s slot by training's draw; None if skipped."""
+    ids = kb.ids
+    rows = _draw_corruptions(ids, ids.encode([positive]), _mode_columns([mode]), rng)
+    return ids.decode(rows)[0] if len(rows) else None
 
 
 def rewrite_checkpoint_header(path, edit):

@@ -194,7 +194,7 @@ def test_criterion_5_gradient_predictor_fidelity(capsys, predictor_world):
     t_full = float("inf")
     for _ in range(3):
         start = time.perf_counter()
-        full = rank_grad(params, candidates, threads=1)
+        full = rank_grad(params, candidates)
         t_full = min(t_full, time.perf_counter() - start)
     t_fast = float("inf")
     for _ in range(3):
@@ -242,7 +242,7 @@ def planted_world():
     candidates = generate_candidates(kb, index, k=14)
     ranked = {
         "negater-theta": rank_theta(params, thresholds, candidates, keep_fraction=1.0, seed=0),
-        "negater-grad": rank_grad(params, candidates, threads=1),
+        "negater-grad": rank_grad(params, candidates),
         "negater-none": rank_none(candidates, seed=0),
     }
     return kb, ranked, time.perf_counter() - start
@@ -328,7 +328,6 @@ ARTIFACTS = (
 def test_criterion_8_pipeline_determinism(capsys, tmp_path, monkeypatch):
     """The five-stage pipeline run twice with one seed is byte-identical."""
     monkeypatch.delenv("NEGMINE_OUTPUT_DIR", raising=False)
-    monkeypatch.delenv("NEGMINE_THREADS", raising=False)
     spec = SyntheticSpec(
         clusters=4, cluster_size=10, relations=10, density=0.7, negative_fraction=0.3, seed=3
     )

@@ -303,9 +303,3 @@ class TestEnvironmentOverrides:
                    "--output-dir", str(tmp_path / "flag-out")) == 0
         capsys.readouterr()
         assert (tmp_path / "flag-out" / "scorer.ckpt").exists()
-
-    def test_bad_thread_env(self, workspace, monkeypatch, capsys):
-        monkeypatch.setenv("NEGMINE_THREADS", "many")
-        code = run("train", "--config", str(workspace))
-        assert code == 3
-        assert "NEGMINE_THREADS" in capsys.readouterr().err

@@ -5,7 +5,6 @@ import pytest
 
 from negmine.config import (
     ENV_OUTPUT_DIR,
-    ENV_THREADS,
     PipelineConfig,
     build_config,
     parse_config_file,
@@ -67,16 +66,8 @@ class TestBuildConfig:
             build_config({"trained_embeddings": "yes"})
 
     def test_env_overrides_file(self):
-        config = build_config(
-            {"output_dir": "from-file", "threads": "1"},
-            {ENV_OUTPUT_DIR: "from-env", ENV_THREADS: "3"},
-        )
+        config = build_config({"output_dir": "from-file"}, {ENV_OUTPUT_DIR: "from-env"})
         assert config.output_dir == "from-env"
-        assert config.threads == 3
-
-    def test_env_threads_must_be_integer(self):
-        with pytest.raises(ValueError, match=ENV_THREADS):
-            build_config({}, {ENV_THREADS: "many"})
 
     def test_flags_override_env_and_file(self):
         config = build_config(
@@ -116,7 +107,6 @@ class TestValidation:
             {"baseline": "negater"},
             {"trials": 0},
             {"eval_negatives": 0},
-            {"threads": 0},
             {"split": "holdout"},
             {"negation_prefix": ""},
             {"validation_fraction": 1.1},

@@ -1,4 +1,6 @@
 """Triple store, TSV parsing, slot indices, and split construction."""
+from dataclasses import replace
+
 import pytest
 
 from negmine.kb import (
@@ -90,6 +92,14 @@ class TestKnowledgeBase:
     def test_relations(self):
         kb = KnowledgeBase([t("r", "a", "b"), t("s", "a", "b")])
         assert kb.relations == {"r", "s"}
+
+    def test_id_rows_decode_to_triples(self):
+        kb = KnowledgeBase([t("s", "a", "b"), t("r", "b c", "a")])
+        probe = [t("r", "a", "a", label=0), t("s", "b c", "b", label=0)]
+        assert kb.ids.decode(kb.ids.encode(probe)) == probe
+        assert kb.ids.decode(kb.ids.encode(kb.triples)) == [replace(x, label=0) for x in kb.triples]
+        with pytest.raises(ValueError, match="does not store"):
+            kb.ids.decode(kb.ids.encode([t("r", "a", "zzz")]))
 
 
 class TestLoadTsv:

@@ -3,23 +3,24 @@
 `reference_generate_candidates` is the object-level loop that
 `generate_candidates` replaced: one `Phrase` substitution, slot check and
 `kb.contains` per neighbor. The vectorized generator must return the same
-list, element for element. Corruption draws are replayed from the values a
-recording generator handed out and checked against `kb.contains`.
+list, element for element. Corruption draws, for training and for the
+uniform sampler, are replayed from the values a recording generator handed
+out and checked against `kb.contains`.
 """
 import numpy as np
 import pytest
-from conftest import decode_id_rows
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from conftest import corrupt
 
 from negmine.candidates import Candidate, generate_candidates
 from negmine.kb import HEAD, TAIL, KnowledgeBase, LabeledTriple, Phrase
 from negmine.retrieval import build_index, knn
+from negmine.samplers import sample_uniform
 from negmine.scorer import (
     CORRUPT_RETRIES,
     CORRUPTION_MODES,
     TrainConfig,
-    corrupt,
     corruption_examples,
 )
 
@@ -140,20 +141,19 @@ class RecordingRng:
         self.rng = np.random.default_rng(seed)
         self.calls = []
 
-    def integers(self, high):
-        draws = self.rng.integers(high)
+    def integers(self, high, size=None):
+        draws = self.rng.integers(high, size=size)
         self.calls.append((np.array(high), np.array(draws)))
         return draws
 
 
-def replay(kb, positives, modes, calls):
-    """Corruptions rebuilt from recorded draws, one entry at a time.
+def replay(kb, entries, calls):
+    """Corruptions rebuilt from recorded draws, one (positive, mode) entry at a time.
 
-    Returns the negatives and, per (positive, mode) entry, how many of its
-    draws collided with a stored positive.
+    Returns the negatives and, per entry, how many of its draws collided
+    with a stored positive.
     """
     relations = sorted(kb.relations)
-    entries = [(p, m) for p in positives for m in modes]
     result = [None] * len(entries)
     collisions = [0] * len(entries)
     pending = list(range(len(entries)))
@@ -179,7 +179,35 @@ def replay(kb, positives, modes, calls):
             else:
                 result[e] = neg
         pending = still
-    return [n for n in result if n is not None], collisions, entries
+    return [n for n in result if n is not None], collisions
+
+
+def check_draw_contract(kb, entries, collisions, negatives):
+    """Kept entries differ from their positive in exactly their mode's slot and
+    are out-of-KB; an entry is skipped only after every retry collided.
+
+    Returns the kept and skipped counts per mode.
+    """
+    kept = iter(negatives)
+    per_mode = {m: 0 for m in CORRUPTION_MODES}
+    skipped = {m: 0 for m in CORRUPTION_MODES}
+    for (positive, entry_mode), n_collided in zip(entries, collisions):
+        if n_collided == CORRUPT_RETRIES:
+            skipped[entry_mode] += 1
+            continue
+        assert n_collided < CORRUPT_RETRIES
+        neg = next(kept)
+        per_mode[entry_mode] += 1
+        assert neg.label == 0
+        assert not kb.contains(neg)
+        changed = {
+            "head": neg.head != positive.head,
+            "relation": neg.relation != positive.relation,
+            "tail": neg.tail != positive.tail,
+        }
+        assert changed == {m: m == entry_mode for m in CORRUPTION_MODES}
+    assert next(kept, None) is None
+    return per_mode, skipped
 
 
 class TestCorruptionDraws:
@@ -200,28 +228,12 @@ class TestCorruptionDraws:
             return
         rng = RecordingRng(seed)
         rows = corruption_examples(kb, list(kb.triples), config, rng)
-        negatives = decode_id_rows(kb, rows)
-        expected, collisions, entries = replay(kb, list(kb.triples), modes, rng.calls)
+        negatives = kb.ids.decode(rows)
+        entries = [(p, m) for p in kb.triples for m in modes]
+        expected, collisions = replay(kb, entries, rng.calls)
         assert negatives == expected
         assert len(rng.calls) <= CORRUPT_RETRIES
-        kept = iter(negatives)
-        per_mode = {m: 0 for m in CORRUPTION_MODES}
-        skipped = {m: 0 for m in CORRUPTION_MODES}
-        for (positive, entry_mode), n_collided in zip(entries, collisions):
-            if n_collided == CORRUPT_RETRIES:
-                skipped[entry_mode] += 1  # only after every retry collided
-                continue
-            assert n_collided < CORRUPT_RETRIES
-            neg = next(kept)
-            per_mode[entry_mode] += 1
-            assert not kb.contains(neg)
-            changed = {
-                "head": neg.head != positive.head,
-                "relation": neg.relation != positive.relation,
-                "tail": neg.tail != positive.tail,
-            }
-            assert changed == {m: m == entry_mode for m in CORRUPTION_MODES}
-        assert next(kept, None) is None
+        per_mode, skipped = check_draw_contract(kb, entries, collisions, negatives)
         for m in CORRUPTION_MODES:
             assert per_mode[m] + skipped[m] == modes.count(m) * len(kb)
 
@@ -234,5 +246,25 @@ class TestCorruptionDraws:
         for mode in modes:
             rng = RecordingRng(seed)
             neg = corrupt(kb, kb.triples[0], mode, rng)
-            expected, _, _ = replay(kb, [kb.triples[0]], [mode], rng.calls)
+            expected, _ = replay(kb, [(kb.triples[0], mode)], rng.calls)
             assert ([neg] if neg is not None else []) == expected
+
+
+class TestUniformDraws:
+    @SETTINGS
+    @given(small_kbs(max_phrases=4, max_relations=2), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_negatives_follow_the_draw_contract(self, kb, per_positive, seed):
+        rng = RecordingRng(seed)
+        negatives = sample_uniform(kb, list(kb.triples), per_positive, rng)
+        if len(kb.phrases) < 2:
+            assert negatives == [] and rng.calls == []
+            return
+        (flip_high, flips), *draws = rng.calls
+        assert flip_high == 2 and len(flips) == per_positive * len(kb)
+        # One coin flip per entry picks its slot, kept through every retry.
+        positives = [p for p in kb.triples for _ in range(per_positive)]
+        entries = [(p, (HEAD, TAIL)[f]) for p, f in zip(positives, flips.tolist())]
+        expected, collisions = replay(kb, entries, draws)
+        assert negatives == expected
+        assert len(draws) <= CORRUPT_RETRIES
+        check_draw_contract(kb, entries, collisions, negatives)

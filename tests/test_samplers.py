@@ -5,7 +5,6 @@ from conftest import make_triple as t
 
 from negmine.kb import HEAD, TAIL, KnowledgeBase, ParseError, Phrase
 from negmine.samplers import (
-    SAMPLE_RETRIES,
     AntonymLexicon,
     EntityGraph,
     load_antonyms,
@@ -15,6 +14,7 @@ from negmine.samplers import (
     sample_uniform,
     save_antonyms,
 )
+from negmine.scorer import CORRUPT_RETRIES
 
 
 def p(text):
@@ -165,10 +165,10 @@ class TestEntityGraph:
 class TestSampleUniform:
     def test_differs_in_exactly_one_slot(self):
         kb = KnowledgeBase([t("R", f"h{i}", f"t{i}") for i in range(5)])
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            out = sample_uniform(kb, kb.triples[0], rng)
-            assert out is not None and out.label == 0
+        outs = sample_uniform(kb, [kb.triples[0]], 200, np.random.default_rng(0))
+        assert len(outs) == 200
+        for out in outs:
+            assert out.label == 0
             changed = (out.head != kb.triples[0].head) + (out.tail != kb.triples[0].tail)
             assert changed == 1
             assert not kb.contains(out)
@@ -177,7 +177,7 @@ class TestSampleUniform:
         kb = KnowledgeBase([t("R", "p", "p"), t("R", "q", "q")])
         positive = kb.triples[0]
         for seed in range(20):
-            out = sample_uniform(kb, positive, np.random.default_rng(seed))
+            [out] = sample_uniform(kb, [positive], 1, np.random.default_rng(seed))
             assert out in (t("R", "q", "p", 0), t("R", "p", "q", 0))
             if out.head != positive.head:
                 assert out == t("R", "q", "p", 0)
@@ -186,11 +186,9 @@ class TestSampleUniform:
         # 5 disjoint positives over 10 phrases; no corruption is ever in-KB.
         kb = KnowledgeBase([t("R", f"p{2 * i}", f"p{2 * i + 1}") for i in range(5)])
         positive = kb.triples[0]
-        rng = np.random.default_rng(7)
         counts: dict = {phrase: 0 for phrase in kb.phrases}
         n = 10_000
-        for _ in range(n):
-            out = sample_uniform(kb, positive, rng)
+        for out in sample_uniform(kb, [positive], n, np.random.default_rng(7)):
             slot = HEAD if out.head != positive.head else TAIL
             counts[out.phrase(slot)] += 1
         # p0/p1 can fill only the opposite slot: probability 1/2 x 1/9 each;
@@ -204,17 +202,15 @@ class TestSampleUniform:
         # All cross pairs present: any single-slot replacement is a positive.
         names = ["a", "b", "c"]
         kb = KnowledgeBase([t("R", x, y) for x in names for y in names])
-        assert sample_uniform(kb, kb.triples[0], np.random.default_rng(0)) is None
+        assert sample_uniform(kb, [kb.triples[0]], 1, np.random.default_rng(0)) == []
 
     def test_skips_single_phrase_vocabulary(self):
         kb = KnowledgeBase([t("R", "p", "p")])
-        assert sample_uniform(kb, kb.triples[0], np.random.default_rng(0)) is None
+        assert sample_uniform(kb, list(kb.triples), 3, np.random.default_rng(0)) == []
 
     def test_seeded_sequence_reproducible(self):
         kb = KnowledgeBase([t("R", f"h{i}", f"t{i}") for i in range(4)])
-        seq = lambda seed: [
-            sample_uniform(kb, pos, np.random.default_rng(seed)) for pos in kb.triples
-        ]
+        seq = lambda seed: sample_uniform(kb, list(kb.triples), 1, np.random.default_rng(seed))
         assert seq(3) == seq(3)
         assert seq(3) != seq(4)
 
@@ -246,10 +242,10 @@ class TestSampleSlots:
         kb = KnowledgeBase([t("R", "a", "x"), t("R", "a", "y")])
         rng = ScriptedRng([])
         assert sample_slots(kb, kb.triples[0], rng) is None
-        assert len(rng.calls) == 2 * SAMPLE_RETRIES
+        assert len(rng.calls) == 2 * CORRUPT_RETRIES
         assert all(bound == 2 or bound == 1 for bound in rng.calls)
         # Every draw call (bound 1) targets the singleton tail pool {y}.
-        assert rng.calls.count(1) == SAMPLE_RETRIES
+        assert rng.calls.count(1) == CORRUPT_RETRIES
 
     def test_both_pools_empty_skips(self):
         kb = KnowledgeBase([t("R", "a", "x")])

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import decode_id_rows
+from conftest import corrupt
 
 from negmine.kb import HEAD, TAIL, KnowledgeBase, LabeledTriple, Phrase
 from negmine.scorer import (
@@ -17,7 +17,6 @@ from negmine.scorer import (
     _loss_and_gradient_batch,
     best_threshold,
     classify,
-    corrupt,
     embed_phrase,
     encode,
     fit_thresholds,
@@ -353,14 +352,6 @@ class TestLossAndGradient:
         loss_and_gradient(params, t("r", "a", "b"), 0)
         assert params.grad_evals == 2
 
-    def test_final_layer_only_norm(self):
-        vocab = TokenVocab(["r"], ["a", "b"])
-        params = init_params(vocab, hidden_dim=4, seed=2)
-        _, grad = loss_and_gradient(params, t("r", "a", "b"), 0)
-        expected = math.sqrt(float(grad.w @ grad.w) + grad.b * grad.b)
-        assert grad.norm(final_layer_only=True) == pytest.approx(expected, rel=1e-12)
-        assert grad.norm() > grad.norm(final_layer_only=True)
-
 
 def mixed_batch():
     """Params with a non-zero feedforward bias and a batch that mixes triple
@@ -441,7 +432,7 @@ class TestTraining:
         from negmine.scorer import corruption_examples
 
         rng = np.random.default_rng(999)
-        negatives = decode_id_rows(kb, corruption_examples(kb, list(kb.triples), config, rng))
+        negatives = kb.ids.decode(corruption_examples(kb, list(kb.triples), config, rng))
         examples = list(kb.triples) + negatives
         labels = np.array([x.label for x in examples])
         preds = (score_batch(params, examples) > 0.5).astype(int)
@@ -577,7 +568,7 @@ class TestThresholds:
         from negmine.scorer import corruption_examples
 
         rng = np.random.default_rng(123)
-        negatives = decode_id_rows(kb, corruption_examples(kb, list(kb.triples), config, rng))
+        negatives = kb.ids.decode(corruption_examples(kb, list(kb.triples), config, rng))
         validation = list(kb.triples) + negatives
         thresholds = fit_thresholds(params, validation)
         correct = [
