@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .ioutil import atomic_write_text
-from .kb import SLOTS, KnowledgeBase, LabeledTriple, ParseError, Phrase, intern_phrase
+from .ioutil import atomic_write_text, read_lines
+from .kb import SLOTS, KnowledgeBase, LabeledTriple, Phrase, intern_phrase
 from .retrieval import PhraseIndex, knn
 
 # Grid cells (positive x slot x neighbor rank) expanded at a time.
@@ -169,37 +169,21 @@ def write_candidates_tsv(candidates: list[Candidate], path: str | Path) -> None:
 
 
 def read_candidates_tsv(path: str | Path) -> list[Candidate]:
-    out = []
     phrases: dict[str, Phrase] = {}
-    with open(path, encoding="utf-8") as f:
-        for line_no, raw in enumerate(f, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 7:
-                raise ParseError(path, line_no, f"expected 7 tab-separated fields, got {len(fields)}")
-            relation, head, tail, src_head, src_tail, slot, rank_text = fields
-            try:
-                rank = int(rank_text)
-            except ValueError:
-                raise ParseError(path, line_no, f"bad neighbor_rank {rank_text!r}") from None
-            try:
-                out.append(
-                    Candidate(
-                        LabeledTriple(
-                            intern_phrase(phrases, head), relation, intern_phrase(phrases, tail), 0
-                        ),
-                        LabeledTriple(
-                            intern_phrase(phrases, src_head),
-                            relation,
-                            intern_phrase(phrases, src_tail),
-                            1,
-                        ),
-                        slot,
-                        rank,
-                    )
-                )
-            except ValueError as exc:
-                raise ParseError(path, line_no, str(exc)) from None
-    return out
+
+    def parse(fields: list[str]) -> Candidate:
+        relation, head, tail, src_head, src_tail, slot, rank_text = fields
+        try:
+            rank = int(rank_text)
+        except ValueError:
+            raise ValueError(f"bad neighbor_rank {rank_text!r}") from None
+        return Candidate(
+            LabeledTriple(intern_phrase(phrases, head), relation, intern_phrase(phrases, tail), 0),
+            LabeledTriple(
+                intern_phrase(phrases, src_head), relation, intern_phrase(phrases, src_tail), 1
+            ),
+            slot,
+            rank,
+        )
+
+    return [candidate for _, candidate in read_lines(path, parse, 7)]

@@ -17,6 +17,7 @@ byte for byte. No timestamps or environment data are embedded.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -25,9 +26,10 @@ from .ioutil import atomic_write_bytes
 from .scorer import ScorerParams, ThresholdMap, TokenVocab
 
 MAGIC = b"NEGMINE\0"
-VERSION = 1
+VERSION = 2
 
-_ARRAY_ORDER = ("emb", "ff_w", "ff_b", "w", "retrieval_emb")
+_ARRAY_NDIM = {"emb": 2, "ff_w": 2, "ff_b": 1, "w": 1}
+_ARRAY_ORDER = tuple(_ARRAY_NDIM)
 _HEADER_KEYS = frozenset({"bias", "hidden_dim", "vocab", "arrays", "thresholds"})
 
 
@@ -72,7 +74,7 @@ def load_checkpoint(path: str | Path) -> tuple[ScorerParams, ThresholdMap | None
     header_len = int(np.frombuffer(data[12:20], dtype="<u8")[0])
     try:
         header = json.loads(data[20 : 20 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, or nested too deep
         raise CheckpointError(f"{path}: corrupt checkpoint header") from exc
     missing = _HEADER_KEYS - header.keys() if isinstance(header, dict) else _HEADER_KEYS
     if missing:
@@ -87,8 +89,11 @@ def load_checkpoint(path: str | Path) -> tuple[ScorerParams, ThresholdMap | None
         arrays = {}
         for spec in header["arrays"]:
             shape = tuple(int(d) for d in spec["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            end = offset + count * 8
+            if len(shape) != _ARRAY_NDIM[spec["name"]] or min(shape) < 0:
+                raise CheckpointError(
+                    f"{path}: checkpoint array {spec['name']} has bad shape {list(shape)}"
+                )
+            end = offset + math.prod(shape) * 8
             if end > len(data):
                 raise CheckpointError(f"{path}: truncated checkpoint blob {spec['name']}")
             arrays[spec["name"]] = np.frombuffer(data[offset:end], dtype="<f8").reshape(shape).copy()
@@ -103,7 +108,6 @@ def load_checkpoint(path: str | Path) -> tuple[ScorerParams, ThresholdMap | None
             arrays["ff_b"],
             arrays["w"],
             header["bias"],
-            arrays["retrieval_emb"],
         )
         thresholds = None
         if header["thresholds"] is not None:
@@ -112,7 +116,7 @@ def load_checkpoint(path: str | Path) -> tuple[ScorerParams, ThresholdMap | None
             )
     except CheckpointError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CheckpointError(f"{path}: malformed checkpoint: {exc}") from exc
     if not params.all_finite():
         raise CheckpointError(f"{path}: checkpoint holds non-finite scorer weights")

@@ -33,8 +33,8 @@ from .evaluation import (
     write_report_tsv,
     write_trials_tsv,
 )
-from .ioutil import DirectoryLock, LockError, atomic_write_text, derive_seed, format_float
-from .kb import KnowledgeBase, ParseError, build_true_negative_split, load_tsv, save_tsv
+from .ioutil import DirectoryLock, LockError, ParseError, atomic_write_text, derive_seed, format_float
+from .kb import KnowledgeBase, build_true_negative_split, load_tsv, save_tsv
 from .rankers import (
     rank_grad,
     rank_grad_fast,
@@ -185,10 +185,7 @@ def cmd_candidates(config: PipelineConfig, dry_run: bool) -> None:
             f"would write {out}"
         )
         return
-    index = build_index(
-        list(kb.phrases),
-        lambda p: embed_phrase(params, p, use_trained=config.trained_embeddings),
-    )
+    index = build_index(list(kb.phrases), lambda p: embed_phrase(params, p))
     candidates = generate_candidates(kb, index, config.k)
     write_candidates_tsv(candidates, out)
     _wrote(out)

@@ -12,7 +12,7 @@ Keys:
   pipeline  k, keep_fraction, method, n, hops, sampler, baseline, trials,
             eval_negatives, seed
   data      split (none | true-negatives), negation_prefix,
-            validation_fraction, split_seed, kb_columns, trained_embeddings
+            validation_fraction, split_seed, kb_columns
 
 Artifacts live under ``output_dir`` with fixed names unless an explicit path
 key overrides the corresponding input.
@@ -24,21 +24,13 @@ from pathlib import Path
 from typing import Callable
 
 from .evaluation import SAMPLERS
-from .kb import ParseError
+from .ioutil import read_lines
 from .rankers import RANK_METHODS
 from .scorer import CORRUPTION_MODES
 
 SPLIT_MODES = ("none", "true-negatives")
 
 ENV_OUTPUT_DIR = "NEGMINE_OUTPUT_DIR"
-
-
-def _parse_bool(text: str) -> bool:
-    if text in ("true", "1"):
-        return True
-    if text in ("false", "0"):
-        return False
-    raise ValueError(f"expected true/false/1/0, got {text!r}")
 
 
 @dataclass
@@ -74,7 +66,6 @@ class PipelineConfig:
     validation_fraction: float = 0.5
     split_seed: int = 0
     kb_columns: str = "rht"
-    trained_embeddings: bool = True
 
     def __post_init__(self):
         if self.hidden_dim < 2:
@@ -162,8 +153,6 @@ def _converters() -> dict[str, Callable[[str], object]]:
             table[f.name] = int
         elif f.type == "float":
             table[f.name] = float
-        elif f.type == "bool":
-            table[f.name] = _parse_bool
         else:  # pragma: no cover - new field types must be registered here
             raise TypeError(f"no converter for field {f.name}: {f.type}")
     return table
@@ -174,23 +163,22 @@ CONVERTERS = _converters()
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
     """Raw key=value mapping from a config file; duplicates are errors."""
-    mapping: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ParseError(path, line_no, f"expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in CONVERTERS:
-                raise ParseError(path, line_no, f"unknown config key {key!r}")
-            if key in mapping:
-                raise ParseError(path, line_no, f"duplicate config key {key!r}")
-            mapping[key] = value
-    return mapping
+    keys: set[str] = set()
+
+    def parse(line: str) -> tuple[str, str]:
+        line = line.strip()
+        if "=" not in line:
+            raise ValueError(f"expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in CONVERTERS:
+            raise ValueError(f"unknown config key {key!r}")
+        if key in keys:
+            raise ValueError(f"duplicate config key {key!r}")
+        keys.add(key)
+        return key, value.strip()
+
+    return dict(pair for _, pair in read_lines(path, parse))
 
 
 def build_config(

@@ -16,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .ioutil import atomic_write_text, derive_seed, format_float
-from .kb import KnowledgeBase, LabeledTriple, ParseError
+from .ioutil import atomic_write_text, derive_seed, format_float, read_lines
+from .kb import KnowledgeBase, LabeledTriple
 from .rankers import RankedCandidate, RankedRow
 from .samplers import (
     AntonymLexicon,
@@ -349,13 +349,13 @@ def _draw_negatives(
         return assign_ranked(
             train, _ranked_triples(config.ranked), config.negatives_per_positive
         )
+    # Salt 50: a stream no other draw of the trial uses. Every sampler draws
+    # from it alone, positives in order.
+    rng = np.random.default_rng([trial_seed, 50])
     if config.sampler == "uniform":
-        # Salt 50: a stream no other draw of the trial uses.
-        rng = np.random.default_rng([trial_seed, 50])
         return sample_uniform(kb, train, config.negatives_per_positive, rng)
     out: list[LabeledTriple] = []
-    for i, positive in enumerate(train):
-        rng = np.random.default_rng([trial_seed, i])
+    for positive in train:
         for _ in range(config.negatives_per_positive):
             if config.sampler == "slots":
                 neg = sample_slots(kb, positive, rng)
@@ -417,29 +417,17 @@ def write_trials_tsv(results: Sequence[TrialResult], path: str | Path) -> None:
 
 
 def read_trials_tsv(path: str | Path) -> list[TrialResult]:
-    results: list[TrialResult] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 5:
-                raise ParseError(path, line_no, f"expected 5 fields, got {len(fields)}")
-            sampler, trial, accuracy, precision, recall = fields
-            try:
-                results.append(
-                    TrialResult(
-                        sampler,
-                        int(trial),
-                        float(accuracy),
-                        None if precision == NA else float(precision),
-                        None if recall == NA else float(recall),
-                    )
-                )
-            except ValueError as exc:
-                raise ParseError(path, line_no, str(exc)) from exc
-    return results
+    def parse(fields: list[str]) -> TrialResult:
+        sampler, trial, accuracy, precision, recall = fields
+        return TrialResult(
+            sampler,
+            int(trial),
+            float(accuracy),
+            None if precision == NA else float(precision),
+            None if recall == NA else float(recall),
+        )
+
+    return [result for _, result in read_lines(path, parse, 5)]
 
 
 def report_rows(report: EvaluationReport) -> list[tuple[str, str, float | None, float | None, float | None]]:

@@ -4,17 +4,78 @@ All artifact writers go through `atomic_write_*` (write to a temp file in the
 target directory, then rename) so partially written outputs never appear
 under their final name. Floats in text artifacts are formatted with `repr`,
 which round-trips every double exactly, keeping reruns byte-identical.
+
+Every text artifact is read through `read_lines`, so that every reader
+skips the same lines and reports a bad line, undecodable bytes included,
+as a `ParseError` naming the file and line.
 """
 from __future__ import annotations
 
 import logging
 import os
+import re
 import tempfile
 from pathlib import Path
+from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
 logger = logging.getLogger(__name__)
+
+T = TypeVar("T")
+
+# What `errors="surrogateescape"` turns each undecodable byte into.
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+
+
+class ParseError(ValueError):
+    """Malformed line of a text artifact; message carries path and line number."""
+
+    def __init__(self, path: str | Path, line_no: int, message: str):
+        super().__init__(f"{path}:{line_no}: {message}")
+        self.path = str(path)
+        self.line_no = line_no
+
+
+def read_lines(
+    path: str | Path, parse: Callable[..., T], n_fields: int | None = None
+) -> Iterator[tuple[int, T]]:
+    """Yield `(line_no, parse(line))` for each content line of a UTF-8 file.
+
+    Blank lines and lines whose first non-blank character is ``#`` are
+    skipped; line numbers count every line from 1. With `n_fields`, a line
+    is split on tabs and must hold exactly that many fields, and `parse`
+    gets the field list; otherwise it gets the line without its newline. A
+    `ValueError` from `parse`, and a byte that is not UTF-8, become a
+    `ParseError` for their line.
+    """
+    try:
+        with open(path, encoding="utf-8") as f:
+            for line_no, raw in enumerate(f, start=1):
+                line = raw.rstrip("\n")
+                if not line.strip() or line.lstrip().startswith("#"):
+                    continue
+                if n_fields is not None:
+                    line = line.split("\t")
+                    if len(line) != n_fields:
+                        raise ParseError(path, line_no, f"expected {n_fields} fields, got {len(line)}")
+                try:
+                    value = parse(line)
+                except ValueError as exc:
+                    raise ParseError(path, line_no, str(exc)) from exc
+                yield line_no, value
+    except UnicodeDecodeError:
+        # The decoder works on blocks, so its error names no line. Read the
+        # file again with each bad byte escaped to find the first one.
+        with open(path, encoding="utf-8", errors="surrogateescape") as f:
+            for line_no, line in enumerate(f, start=1):
+                bad = _ESCAPED_BYTE.search(line)
+                if bad:
+                    byte = ord(bad.group()) - 0xDC00
+                    raise ParseError(
+                        path, line_no, f"byte 0x{byte:02x} at column {bad.start() + 1} is not UTF-8"
+                    ) from None
+        raise
 
 
 def format_float(x: float) -> str:

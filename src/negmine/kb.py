@@ -25,20 +25,13 @@ from pathlib import Path
 
 import numpy as np
 
+from .ioutil import ParseError, atomic_write_text, read_lines  # noqa: F401  (ParseError re-exported)
+
 logger = logging.getLogger(__name__)
 
 HEAD = "head"
 TAIL = "tail"
 SLOTS = (HEAD, TAIL)
-
-
-class ParseError(ValueError):
-    """Malformed triple TSV line; message carries path and line number."""
-
-    def __init__(self, path: str | Path, line_no: int, message: str):
-        super().__init__(f"{path}:{line_no}: {message}")
-        self.path = str(path)
-        self.line_no = line_no
 
 
 @dataclass(frozen=True, order=True)
@@ -263,55 +256,45 @@ def load_tsv(
     """
     if sorted(column_order) != ["h", "r", "t"]:
         raise ValueError(f"column_order must be a permutation of 'rht', got {column_order!r}")
-    expected = 4 if has_labels else 3
+    r, h, t = (column_order.index(c) for c in "rht")
+    phrases: dict[str, Phrase] = {}
+
+    def parse(fields: list[str]) -> LabeledTriple:
+        relation = fields[r].strip()
+        if not relation:
+            raise ValueError("empty relation")
+        label = 1
+        if has_labels:
+            label_text = fields[3].strip()
+            if label_text not in ("0", "1"):
+                raise ValueError(f"label must be 0 or 1, got {label_text!r}")
+            label = int(label_text)
+        head = intern_phrase(phrases, fields[h])
+        return LabeledTriple(head, relation, intern_phrase(phrases, fields[t]), label)
+
     triples: list[LabeledTriple] = []
     seen_positive: set[tuple] = set()
-    phrases: dict[str, Phrase] = {}
     duplicates = 0
-    with open(path, encoding="utf-8") as f:
-        for line_no, raw in enumerate(f, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
+    for _, triple in read_lines(path, parse, 4 if has_labels else 3):
+        if triple.label == 1:
+            if triple.key() in seen_positive:
+                duplicates += 1
                 continue
-            fields = line.split("\t")
-            if len(fields) != expected:
-                raise ParseError(path, line_no, f"expected {expected} tab-separated fields, got {len(fields)}")
-            relation = fields[column_order.index("r")].strip()
-            head_text = fields[column_order.index("h")]
-            tail_text = fields[column_order.index("t")]
-            if not relation:
-                raise ParseError(path, line_no, "empty relation")
-            if has_labels:
-                label_text = fields[3].strip()
-                if label_text not in ("0", "1"):
-                    raise ParseError(path, line_no, f"label must be 0 or 1, got {label_text!r}")
-                label = int(label_text)
-            else:
-                label = 1
-            try:
-                head = intern_phrase(phrases, head_text)
-                tail = intern_phrase(phrases, tail_text)
-            except ValueError as exc:
-                raise ParseError(path, line_no, str(exc)) from exc
-            triple = LabeledTriple(head, relation, tail, label)
-            if label == 1:
-                if triple.key() in seen_positive:
-                    duplicates += 1
-                    continue
-                seen_positive.add(triple.key())
-            triples.append(triple)
+            seen_positive.add(triple.key())
+        triples.append(triple)
     if duplicates:
         logger.warning("collapsed %d duplicate positive lines in %s", duplicates, path)
     return triples
 
 
 def save_tsv(triples: list[LabeledTriple], path: str | Path, with_labels: bool = False) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for t in triples:
-            fields = [t.relation, t.head.text, t.tail.text]
-            if with_labels:
-                fields.append(str(t.label))
-            f.write("\t".join(fields) + "\n")
+    lines = []
+    for t in triples:
+        fields = [t.relation, t.head.text, t.tail.text]
+        if with_labels:
+            fields.append(str(t.label))
+        lines.append("\t".join(fields) + "\n")
+    atomic_write_text(path, "".join(lines))
 
 
 def build_true_negative_split(
@@ -320,15 +303,14 @@ def build_true_negative_split(
     *,
     seed: int = 0,
     validation_fraction: float = 0.5,
-    balance_per_relation: bool = True,
 ) -> KnowledgeBase:
     """Rebuild a KB whose test-time negatives come from negated relations.
 
     Relations are paired as (r, prefix+r). Only triples of paired relations
     survive. Triples under prefix+r become label-0 triples under r and are
     divided between validation and test (`validation_fraction` of them to
-    validation); an equal number of positives joins each evaluation split so
-    classes stay balanced, per relation when `balance_per_relation` is set.
+    validation); an equal number of positives of the same relation joins
+    each evaluation split, so classes stay balanced per relation.
     The remaining positives form the training split and the returned KB's
     triple store.
     """
@@ -349,28 +331,22 @@ def build_true_negative_split(
             negatives_by_rel[rewritten.relation].append(rewritten)
 
     rng = np.random.default_rng(seed)
-    groups: list[str] | list[None] = list(base_relations) if balance_per_relation else [None]
     train: list[LabeledTriple] = []
     val_pos: list[LabeledTriple] = []
     val_neg: list[LabeledTriple] = []
     test_pos: list[LabeledTriple] = []
     test_neg: list[LabeledTriple] = []
-    for group in groups:
-        if group is None:
-            pos = [t for r in base_relations for t in positives_by_rel[r]]
-            neg = [t for r in base_relations for t in negatives_by_rel[r]]
-        else:
-            pos = positives_by_rel[group]
-            neg = negatives_by_rel[group]
+    for relation in base_relations:
+        pos = positives_by_rel[relation]
+        neg = negatives_by_rel[relation]
         n_val = int(round(len(neg) * validation_fraction))
         neg_perm = rng.permutation(len(neg))
         g_val_neg = [neg[i] for i in neg_perm[:n_val]]
         g_test_neg = [neg[i] for i in neg_perm[n_val:]]
         n_eval_pos = len(g_val_neg) + len(g_test_neg)
         if len(pos) <= n_eval_pos:
-            name = group if group is not None else "KB"
             raise ValueError(
-                f"{name}: {len(pos)} positives cannot balance {n_eval_pos} negatives "
+                f"{relation}: {len(pos)} positives cannot balance {n_eval_pos} negatives "
                 "and still leave a training split"
             )
         pos_perm = rng.permutation(len(pos))

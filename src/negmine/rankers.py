@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .candidates import Candidate
-from .ioutil import atomic_write_text, format_float
-from .kb import LabeledTriple, ParseError, Phrase, intern_phrase
+from .ioutil import ParseError, atomic_write_text, format_float, read_lines
+from .kb import LabeledTriple, Phrase, intern_phrase
 from .scorer import (
     ScorerParams,
     ThresholdMap,
@@ -334,42 +334,34 @@ class RankedRow:
 
 def read_ranked_tsv(path: str | Path) -> list[RankedRow]:
     """Rows of a ranked file, which must hold distinct triples ranked 1..n."""
-    rows = []
     phrases: dict[str, Phrase] = {}
-    line_of_rank: dict[int, int] = {}
+    ranks: set[int] = set()
     seen: set[tuple] = set()
-    with open(path, encoding="utf-8") as f:
-        for line_no, raw in enumerate(f, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 6:
-                raise ParseError(path, line_no, f"expected 6 tab-separated fields, got {len(fields)}")
-            rank_text, relation, head, tail, key_text, method = fields
-            if method not in RANK_METHODS:
-                raise ParseError(path, line_no, f"unknown ranking method {method!r}")
-            try:
-                row = RankedRow(
-                    int(rank_text),
-                    LabeledTriple(
-                        intern_phrase(phrases, head), relation, intern_phrase(phrases, tail), 0
-                    ),
-                    float(key_text),
-                    method,
-                )
-            except ValueError as exc:
-                raise ParseError(path, line_no, str(exc)) from None
-            if row.rank < 1 or row.rank in line_of_rank:
-                raise ParseError(path, line_no, f"rank {row.rank} repeated or below 1")
-            line_of_rank[row.rank] = line_no
-            if row.triple.key() in seen:
-                raise ParseError(path, line_no, f"duplicate triple {relation!r} {head!r} {tail!r}")
-            seen.add(row.triple.key())
-            rows.append(row)
-    if line_of_rank and max(line_of_rank) > len(rows):
-        rank = max(line_of_rank)
-        raise ParseError(
-            path, line_of_rank[rank], f"rank {rank} exceeds the row count {len(rows)}"
+
+    def parse(fields: list[str]) -> RankedRow:
+        rank_text, relation, head, tail, key_text, method = fields
+        if method not in RANK_METHODS:
+            raise ValueError(f"unknown ranking method {method!r}")
+        row = RankedRow(
+            int(rank_text),
+            LabeledTriple(intern_phrase(phrases, head), relation, intern_phrase(phrases, tail), 0),
+            float(key_text),
+            method,
         )
+        if row.rank < 1 or row.rank in ranks:
+            raise ValueError(f"rank {row.rank} repeated or below 1")
+        ranks.add(row.rank)
+        if row.triple.key() in seen:
+            raise ValueError(f"duplicate triple {relation!r} {head!r} {tail!r}")
+        seen.add(row.triple.key())
+        return row
+
+    rows = []
+    top, top_line = 0, 0
+    for line_no, row in read_lines(path, parse, 6):
+        rows.append(row)
+        if row.rank > top:
+            top, top_line = row.rank, line_no
+    if top > len(rows):
+        raise ParseError(path, top_line, f"rank {top} exceeds the row count {len(rows)}")
     return rows

@@ -16,8 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .ioutil import atomic_write_text
-from .kb import HEAD, SLOTS, TAIL, KnowledgeBase, LabeledTriple, ParseError, Phrase
+from .ioutil import atomic_write_text, read_lines
+from .kb import HEAD, SLOTS, TAIL, KnowledgeBase, LabeledTriple, Phrase
 from .scorer import CORRUPT_RETRIES, _draw_corruptions
 
 logger = logging.getLogger(__name__)
@@ -77,26 +77,19 @@ def _check_token(token: str, what: str) -> None:
 
 def load_antonyms(path: str | Path) -> AntonymLexicon:
     """Read a lexicon from `token<TAB>class<TAB>antonym1,antonym2,...` lines."""
-    entries: dict[str, tuple[str, tuple[str, ...]]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ParseError(path, line_no, f"expected 3 tab-separated fields, got {len(fields)}")
-            token, pos_class, ants = fields
-            token = token.lower()
-            if token in entries:
-                raise ParseError(path, line_no, f"duplicate token {token!r}")
-            antonyms = tuple(a.lower() for a in ants.split(","))
-            try:
-                AntonymLexicon({token: (pos_class, antonyms)})
-            except ValueError as exc:
-                raise ParseError(path, line_no, str(exc)) from exc
-            entries[token] = (pos_class, antonyms)
-    return AntonymLexicon(entries)
+    tokens: set[str] = set()
+
+    def parse(fields: list[str]) -> tuple[str, tuple[str, tuple[str, ...]]]:
+        token, pos_class, ants = fields
+        token = token.lower()
+        if token in tokens:
+            raise ValueError(f"duplicate token {token!r}")
+        tokens.add(token)
+        entry = (pos_class, tuple(a.lower() for a in ants.split(",")))
+        AntonymLexicon({token: entry})  # validates the line
+        return token, entry
+
+    return AntonymLexicon(dict(pair for _, pair in read_lines(path, parse, 3)))
 
 
 def save_antonyms(lexicon: AntonymLexicon, path: str | Path) -> None:

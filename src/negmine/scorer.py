@@ -158,8 +158,6 @@ class PhraseTable:
 class ScorerParams:
     """Full parameter set: embeddings, residual feedforward, linear head.
 
-    `retrieval_emb` is a frozen, separately seeded copy of the embedding
-    table used only for phrase lookup; it never receives gradient updates.
     `grad_evals` counts backward passes, so forward-only code paths can
     prove they never differentiate.
     """
@@ -172,13 +170,12 @@ class ScorerParams:
         ff_b: np.ndarray,
         w: np.ndarray,
         b: float,
-        retrieval_emb: np.ndarray,
     ):
         hidden_dim = emb.shape[1]
         if hidden_dim < 2:
             raise ValueError(f"hidden dimension must be >= 2, got {hidden_dim}")
-        if emb.shape != (vocab.size, hidden_dim) or retrieval_emb.shape != emb.shape:
-            raise ValueError("embedding tables must be (vocab size, hidden dim)")
+        if emb.shape != (vocab.size, hidden_dim):
+            raise ValueError("embedding table must be (vocab size, hidden dim)")
         if ff_w.shape != (hidden_dim, hidden_dim) or ff_b.shape != (hidden_dim,):
             raise ValueError("feedforward weights must be (H, H) and (H,)")
         if w.shape != (hidden_dim,):
@@ -190,7 +187,6 @@ class ScorerParams:
         self.ff_b = ff_b
         self.w = w
         self.b = float(b)
-        self.retrieval_emb = retrieval_emb
         self.grad_evals = 0
 
     def all_finite(self) -> bool:
@@ -204,7 +200,7 @@ class ScorerParams:
 
 
 def init_params(vocab: TokenVocab, hidden_dim: int = 64, seed: int = 0) -> ScorerParams:
-    """Fresh parameters; the retrieval table uses an independent seed stream."""
+    """Fresh parameters drawn from the seed's stream `[seed, 0]`."""
     if hidden_dim < 2:
         raise ValueError(f"hidden dimension must be >= 2, got {hidden_dim}")
     rng = np.random.default_rng([seed, 0])
@@ -212,9 +208,7 @@ def init_params(vocab: TokenVocab, hidden_dim: int = 64, seed: int = 0) -> Score
     ff_w = rng.normal(0.0, 1.0, size=(hidden_dim, hidden_dim))
     ff_b = np.zeros(hidden_dim)
     w = rng.normal(0.0, 1.0, size=hidden_dim)
-    retrieval_rng = np.random.default_rng([seed, 1])
-    retrieval_emb = retrieval_rng.normal(0.0, 1.0, size=(vocab.size, hidden_dim))
-    return ScorerParams(vocab, emb, ff_w, ff_b, w, 0.0, retrieval_emb)
+    return ScorerParams(vocab, emb, ff_w, ff_b, w, 0.0)
 
 
 def sigmoid(z):
@@ -594,6 +588,11 @@ class ThresholdMap:
     per_relation: dict[str, float] = field(default_factory=dict)
     fallback: float = 0.5
 
+    def __post_init__(self):
+        for value in (*self.per_relation.values(), self.fallback):
+            if not math.isfinite(value):
+                raise ValueError(f"thresholds must be finite, got {value!r}")
+
     def threshold_for(self, relation: str) -> float:
         return self.per_relation.get(relation, self.fallback)
 
@@ -650,8 +649,6 @@ def classify(params: ScorerParams, thresholds: ThresholdMap, triple: LabeledTrip
     return score(params, triple) > thresholds.threshold_for(triple.relation)
 
 
-def embed_phrase(params: ScorerParams, phrase: Phrase, use_trained: bool = False) -> np.ndarray:
-    """Mean token embedding from the frozen retrieval table (or trained table)."""
-    table = params.emb if use_trained else params.retrieval_emb
-    ids = params.vocab.encode_phrase(phrase)
-    return table[ids].mean(axis=0)
+def embed_phrase(params: ScorerParams, phrase: Phrase) -> np.ndarray:
+    """Mean token embedding of a phrase from the scorer's embedding table."""
+    return params.emb[params.vocab.encode_phrase(phrase)].mean(axis=0)

@@ -182,7 +182,7 @@ def predictor_world():
     params, _ = train_contrastive(
         params, kb, TrainConfig(epochs=80, learning_rate=0.05, batch_size=64, seed=11)
     )
-    index = build_index(list(kb.phrases), lambda p: embed_phrase(params, p, use_trained=True))
+    index = build_index(list(kb.phrases), lambda p: embed_phrase(params, p))
     candidates = generate_candidates(kb, index, k=14)
     assert len(candidates) >= 2000
     return params, candidates[:2000]
@@ -238,7 +238,7 @@ def planted_world():
         params, kb, TrainConfig(epochs=60, learning_rate=0.05, batch_size=64, seed=11)
     )
     thresholds = fit_thresholds(params, kb.splits.validation)
-    index = build_index(list(kb.phrases), lambda p: embed_phrase(params, p, use_trained=True))
+    index = build_index(list(kb.phrases), lambda p: embed_phrase(params, p))
     candidates = generate_candidates(kb, index, k=14)
     ranked = {
         "negater-theta": rank_theta(params, thresholds, candidates, keep_fraction=1.0, seed=0),

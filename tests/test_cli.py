@@ -78,6 +78,15 @@ class TestExitCodes:
         assert code == 3
         assert "unknown config key" in capsys.readouterr().err
 
+    def test_undecodable_kb_line(self, workspace, capsys):
+        kb = workspace.parent / "kb.tsv"
+        first, rest = kb.read_bytes().split(b"\n", 1)
+        kb.write_bytes(first + b"\nIsA\tcaf\xe9\tpet\n" + rest)
+        code = run("train", "--config", str(workspace))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith(f"negmine: invalid: {kb}:2: byte 0xe9")
+
     def test_kb_not_configured(self, capsys):
         code = run("train")
         assert code == 3

@@ -50,20 +50,15 @@ class TestParseConfigFile:
 class TestBuildConfig:
     def test_file_values_are_typed(self):
         config = build_config(
-            {"epochs": "12", "learning_rate": "0.5", "trained_embeddings": "false", "kb": "x.tsv"}
+            {"epochs": "12", "learning_rate": "0.5", "kb": "x.tsv"}
         )
         assert config.epochs == 12
         assert config.learning_rate == 0.5
-        assert config.trained_embeddings is False
         assert config.kb == "x.tsv"
 
     def test_bad_value_names_key(self):
         with pytest.raises(ValueError, match="config key epochs"):
             build_config({"epochs": "ten"})
-
-    def test_bad_bool(self):
-        with pytest.raises(ValueError, match="true/false"):
-            build_config({"trained_embeddings": "yes"})
 
     def test_env_overrides_file(self):
         config = build_config({"output_dir": "from-file"}, {ENV_OUTPUT_DIR: "from-env"})

@@ -315,6 +315,32 @@ class TestRunExperiment:
         assert draws[1] != draws[99]
         assert _draw_negatives(kb, config, None, derive_seed(1, 1)) == draws[1]
 
+    @pytest.mark.parametrize("sampler", ["slots", "antonyms", "sans"])
+    def test_samplers_draw_from_one_trial_stream(self, sampler):
+        # One generator per positive, seeded [trial_seed, i], would replay for
+        # i = 0, 1 and 3 the streams the same trial trains from.
+        from negmine.evaluation import _draw_negatives
+        from negmine.samplers import (
+            AntonymLexicon,
+            EntityGraph,
+            sample_antonyms,
+            sample_sans,
+            sample_slots,
+        )
+
+        kb = eval_kb()
+        lexicon = AntonymLexicon({f"a{i}": ("noun", ["x0", "x1", "x2"]) for i in range(4)})
+        graph = EntityGraph.from_kb(kb)
+        rng = np.random.default_rng([7, 50])
+        draw = {
+            "slots": lambda p: sample_slots(kb, p, rng),
+            "antonyms": lambda p: sample_antonyms(lexicon, p, None, rng, kb=kb),
+            "sans": lambda p: sample_sans(graph, kb, p, 2, rng),
+        }[sampler]
+        expected = [draw(p) for p in kb.splits.train]
+        config = fast_config(sampler, lexicon=lexicon, hops=2)
+        assert _draw_negatives(kb, config, graph, 7) == [n for n in expected if n is not None]
+
     def test_sans_and_slots_run(self):
         kb = eval_kb()
         for sampler in ("slots", "sans"):

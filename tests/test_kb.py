@@ -109,6 +109,21 @@ class TestLoadTsv:
         save_tsv(triples, path)
         assert load_tsv(path) == triples
 
+    def test_failed_write_keeps_old_file(self, tmp_path):
+        path = tmp_path / "kb.tsv"
+        triples = [t("IsA", "a", "b"), t("IsA", "a", "c")]
+        save_tsv(triples, path)
+        before = path.read_bytes()
+
+        def crash_midway():
+            yield triples[0]
+            raise RuntimeError("crashed while writing")
+
+        with pytest.raises(RuntimeError):
+            save_tsv(crash_midway(), path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_labels_roundtrip(self, tmp_path):
         path = tmp_path / "kb.tsv"
         triples = [t("IsA", "a", "b", 1), t("IsA", "a", "c", 0)]
@@ -192,7 +207,7 @@ class TestTrueNegativeSplit:
 
     def test_per_relation_balance(self):
         kb = self._kb()
-        out = build_true_negative_split(kb, seed=0, balance_per_relation=True)
+        out = build_true_negative_split(kb, seed=0)
         for split in (out.splits.validation, out.splits.test):
             for rel in ("IsA", "HasA"):
                 pos = [x for x in split if x.relation == rel and x.label == 1]

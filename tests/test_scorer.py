@@ -607,13 +607,13 @@ class TestEmbedPhrase:
         params = init_params(vocab, hidden_dim=4, seed=0)
         np.testing.assert_array_equal(
             embed_phrase(params, Phrase.parse("a")),
-            params.retrieval_emb[vocab.word_ids["a"]],
+            params.emb[vocab.word_ids["a"]],
         )
 
     def test_two_token_mean(self):
         vocab = TokenVocab(["r"], ["a", "b"])
         params = init_params(vocab, hidden_dim=4, seed=0)
-        rows = params.retrieval_emb[[vocab.word_ids["a"], vocab.word_ids["b"]]]
+        rows = params.emb[[vocab.word_ids["a"], vocab.word_ids["b"]]]
         np.testing.assert_allclose(embed_phrase(params, Phrase.parse("a b")), rows.mean(axis=0))
 
     def test_identical_phrases_identical_vectors(self):
@@ -622,16 +622,3 @@ class TestEmbedPhrase:
         np.testing.assert_array_equal(
             embed_phrase(params, Phrase.parse("a b")), embed_phrase(params, Phrase.parse("a b"))
         )
-
-    def test_trained_table_flag(self):
-        vocab = TokenVocab(["r"], ["a", "b"])
-        params = init_params(vocab, hidden_dim=4, seed=0)
-        trained = embed_phrase(params, Phrase.parse("a"), use_trained=True)
-        np.testing.assert_array_equal(trained, params.emb[vocab.word_ids["a"]])
-        frozen = embed_phrase(params, Phrase.parse("a"))
-        assert not np.array_equal(trained, frozen)
-
-    def test_retrieval_table_differs_from_trained_init(self):
-        vocab = TokenVocab(["r"], ["a", "b"])
-        params = init_params(vocab, hidden_dim=4, seed=0)
-        assert not np.array_equal(params.emb, params.retrieval_emb)
