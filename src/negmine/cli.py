@@ -242,7 +242,7 @@ def cmd_sample(config: PipelineConfig, dry_run: bool) -> None:
         lexicon=lexicon,
         seed=config.seed,
     )
-    graph = EntityGraph.from_kb(kb) if config.sampler == "sans" else None
+    graph = EntityGraph.from_kb(kb, config.hops) if config.sampler == "sans" else None
     negatives = _draw_negatives(kb, experiment, graph, derive_seed(config.seed, 1))
     save_tsv(negatives, out, with_labels=True)
     _wrote(out)

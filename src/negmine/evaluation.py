@@ -352,17 +352,17 @@ def _draw_negatives(
     # Salt 50: a stream no other draw of the trial uses. Every sampler draws
     # from it alone, positives in order.
     rng = np.random.default_rng([trial_seed, 50])
+    n = config.negatives_per_positive
     if config.sampler == "uniform":
-        return sample_uniform(kb, train, config.negatives_per_positive, rng)
+        return sample_uniform(kb, train, n, rng)
+    if config.sampler == "slots":
+        return sample_slots(kb, train, n, rng)
+    if config.sampler == "sans":
+        return sample_sans(graph, kb, train, n, rng)
     out: list[LabeledTriple] = []
     for positive in train:
-        for _ in range(config.negatives_per_positive):
-            if config.sampler == "slots":
-                neg = sample_slots(kb, positive, rng)
-            elif config.sampler == "antonyms":
-                neg = sample_antonyms(config.lexicon, positive, None, rng, kb=kb)
-            else:
-                neg = sample_sans(graph, kb, positive, config.hops, rng)
+        for _ in range(n):
+            neg = sample_antonyms(config.lexicon, kb, positive, rng)
             if neg is not None:
                 out.append(neg)
     return out
@@ -382,7 +382,7 @@ def run_experiment(kb: KnowledgeBase, config: ExperimentConfig) -> EvaluationRep
     if not kb.splits.validation or not kb.splits.test:
         raise ValueError("evaluation needs non-empty validation and test splits")
     vocab = TokenVocab.from_kb(kb)
-    graph = EntityGraph.from_kb(kb) if config.sampler == "sans" else None
+    graph = EntityGraph.from_kb(kb, config.hops) if config.sampler == "sans" else None
     results: list[TrialResult] = []
     for trial in range(1, config.trials + 1):
         trial_seed = derive_seed(config.seed, trial)

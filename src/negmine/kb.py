@@ -12,8 +12,8 @@ Besides the object API, a KB offers one integer view of its stored positives,
 `phrase_positions`, relation ids number `sorted(relations)`, and every stored
 positive packs to one int64 key, kept sorted so that membership of a whole
 batch of id rows is one `np.searchsorted`. The negative generators
-(`candidates.generate_candidates`, `scorer.corruption_examples`,
-`samplers.sample_uniform`) work on it.
+(`candidates.generate_candidates`, `scorer.corruption_examples` and the
+`uniform`, `slots` and `sans` samplers) work on it.
 """
 from __future__ import annotations
 
@@ -46,6 +46,11 @@ class Phrase:
         for tok in self.tokens:
             if not tok or "\t" in tok or "\n" in tok:
                 raise ValueError(f"invalid phrase token: {tok!r}")
+        # The generated hash's value, computed once: phrases key every set and dict.
+        object.__setattr__(self, "_hash", hash((self.tokens,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def parse(cls, text: str) -> "Phrase":
@@ -232,6 +237,17 @@ class IdView:
         """Elementwise: has `relation` seen `phrase` in `slot` (0 head, 1 tail)?"""
         known = (relations >= 0) & (phrases >= 0)
         return known & _member(self.slot_keys, self.pack_slot(relations, slot, phrases))
+
+    def slot_ranges(self, relations, slot, phrases) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Elementwise (start, size, skip): the range of `slot_keys` holding the
+        phrases `relation` has seen in `slot`, in phrase-id order, and the
+        position of `phrase` in that range (-1 when absent)."""
+        first = self.pack_slot(relations, slot, 0)
+        start = np.searchsorted(self.slot_keys, first)
+        size = np.searchsorted(self.slot_keys, first + self.n_phrases) - start
+        size[relations < 0] = 0
+        at = np.searchsorted(self.slot_keys, first + phrases) - start
+        return start, size, np.where(self.slot_allows(relations, slot, phrases), at, -1)
 
 
 def build_slot_index(triples: list[LabeledTriple]) -> dict[tuple[str, str], frozenset[Phrase]]:

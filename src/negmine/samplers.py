@@ -1,24 +1,27 @@
 """Baseline negative samplers: uniform, slot-constrained, antonym, and k-hop.
 
-The slot, antonym and k-hop samplers map one positive triple to one label-0
-corruption, or to None (a skip) when no valid corruption exists. The uniform
-sampler draws every corruption of a list of positives in one batch, through
-the same draw as training's corruptions (`scorer._draw_corruptions`).
-Results that collide with a stored positive are redrawn up to
-CORRUPT_RETRIES times before skipping, so emitted negatives are always
-out-of-KB.
+The uniform, slot and k-hop samplers draw every corruption of a list of
+positives in one batch, through training's draw (`scorer._draw_corruptions`)
+on the KB's integer view. Each entry coin-flips head or tail once, then draws
+a replacement from its pool, in phrase-id order, never the original; in-KB
+draws are redrawn in the same slot for up to CORRUPT_RETRIES rounds, then
+skipped. The pools: every KB phrase (uniform); the phrases the relation has
+seen in that slot, or in the other slot when that one is empty (slots); the
+phrases within `hops` head-tail edges, where an empty neighbourhood skips
+(sans, `EntityGraph`). The antonym sampler makes phrases the KB does not
+store, so it edits one positive at a time.
 """
 from __future__ import annotations
 
 import logging
 from pathlib import Path
-from typing import Callable
+from typing import NamedTuple
 
 import numpy as np
 
 from .ioutil import atomic_write_text, read_lines
-from .kb import HEAD, SLOTS, TAIL, KnowledgeBase, LabeledTriple, Phrase
-from .scorer import CORRUPT_RETRIES, _draw_corruptions
+from .kb import SLOTS, IdView, KnowledgeBase, LabeledTriple, Phrase
+from .scorer import CORRUPT_RETRIES, Pools, _draw_corruptions
 
 logger = logging.getLogger(__name__)
 
@@ -101,46 +104,63 @@ def save_antonyms(lexicon: AntonymLexicon, path: str | Path) -> None:
     atomic_write_text(path, "".join(lines))
 
 
-class EntityGraph:
-    """Symmetric phrase adjacency: p ~ q iff some positive pairs them as head and tail."""
+class EntityGraph(NamedTuple):
+    """Every KB phrase's `hops` neighbourhood in the head-tail graph, as id pools.
 
-    def __init__(self, adjacency: dict[Phrase, frozenset[Phrase]]):
-        for phrase, neighbors in adjacency.items():
-            if phrase in neighbors:
-                raise ValueError(f"self-loop at {phrase.text!r}")
-            for other in neighbors:
-                if phrase not in adjacency.get(other, frozenset()):
-                    raise ValueError(
-                        f"asymmetric adjacency: {phrase.text!r} ~ {other.text!r} has no reverse"
-                    )
-        self.adjacency = dict(adjacency)
+    Phrases p and q are adjacent iff some stored positive pairs them as head
+    and tail; self-loops are dropped. Phrase i's neighbourhood holds the
+    phrases 1..`hops` edges away, never i itself, in phrase-id order:
+    `members[offsets[i] : offsets[i + 1]]`.
+    """
+
+    offsets: np.ndarray
+    members: np.ndarray
 
     @classmethod
-    def from_kb(cls, kb: KnowledgeBase) -> "EntityGraph":
-        adj: dict[Phrase, set[Phrase]] = {p: set() for p in kb.phrases}
-        for t in kb.triples:
-            if t.head != t.tail:
-                adj[t.head].add(t.tail)
-                adj[t.tail].add(t.head)
-        return cls({p: frozenset(n) for p, n in adj.items()})
+    def from_kb(cls, kb: KnowledgeBase, hops: int) -> "EntityGraph":
+        """Breadth-first search from every phrase at once, over packed id pairs.
 
-    def neighbors(self, phrase: Phrase) -> frozenset[Phrase]:
-        return self.adjacency.get(phrase, frozenset())
-
-    def within(self, phrase: Phrase, hops: int) -> list[Phrase]:
-        """Phrases reachable in 1..hops edges, sorted; the start is excluded."""
+        A pair `p * P + q` (P phrases) says q is in p's neighbourhood. Each
+        round extends the pairs found last round by one edge and keeps the
+        new ones, so the work is one merge per hop, not one walk per phrase.
+        """
         if hops < 1:
             raise ValueError(f"hops must be >= 1, got {hops}")
-        seen = {phrase}
-        frontier = {phrase}
-        reached: set[Phrase] = set()
-        for _ in range(hops):
-            frontier = {q for p in frontier for q in self.neighbors(p)} - seen
-            if not frontier:
+        n = kb.ids.n_phrases
+        heads, _, tails = kb.ids.rows.T
+        edges = np.concatenate([heads * n + tails, tails * n + heads])
+        edges = np.unique(edges[np.tile(heads != tails, 2)])
+        edge_offsets, edge_ends = _split_pairs(edges, n)
+        reached = frontier = edges
+        for _ in range(hops - 1):
+            if not len(frontier):
                 break
-            reached |= frontier
-            seen |= frontier
-        return sorted(reached)
+            sources, middles = np.divmod(frontier, n)
+            starts = edge_offsets[middles]
+            counts = edge_offsets[middles + 1] - starts
+            stops = np.cumsum(counts)
+            at = np.arange(stops[-1]) + np.repeat(starts - (stops - counts), counts)
+            sources, targets = np.repeat(sources, counts), edge_ends[at]
+            loop = sources == targets
+            step = np.unique(sources[~loop] * n + targets[~loop])
+            frontier = np.setdiff1d(step, reached, assume_unique=True)
+            reached = np.union1d(reached, frontier)
+        return cls(*_split_pairs(reached, n))
+
+
+def _split_pairs(pairs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted packed pairs `p * n + q` as CSR: (offsets per p, the q's)."""
+    sources, targets = np.divmod(pairs, n)
+    return np.searchsorted(sources, np.arange(n + 1)), targets
+
+
+def _flipped_rows(
+    ids: IdView, positives: list[LabeledTriple], per_positive: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Id rows of each positive, `per_positive` times, and one coin flip each:
+    the column to replace, 0 (head) or 2 (tail)."""
+    rows = np.repeat(ids.encode(positives), per_positive, axis=0)
+    return rows, 2 * rng.integers(2, size=len(rows))
 
 
 def sample_uniform(
@@ -151,88 +171,71 @@ def sample_uniform(
 ) -> list[LabeledTriple]:
     """`per_positive` corruptions of each positive, in order, minus skips.
 
-    Each entry coin-flips head or tail, then replaces that slot with a
-    uniform draw over KB phrases, excluding the original. Entries landing on
-    a stored positive are redrawn in the same slot and skipped after
-    CORRUPT_RETRIES rounds. A KB with fewer than 2 phrases yields none.
+    The pool is every KB phrase; the draw is training's corruption draw. A
+    KB with fewer than 2 phrases yields none.
     """
     ids = kb.ids
     if ids.n_phrases < 2:
         logger.debug("uniform sampler skipped %d positives: no other phrase", len(positives))
         return []
-    rows = np.repeat(ids.encode(positives), per_positive, axis=0)
-    column = 2 * rng.integers(2, size=len(rows))
+    rows, column = _flipped_rows(ids, positives, per_positive, rng)
     return ids.decode(_draw_corruptions(ids, rows, column, rng))
 
 
 def sample_slots(
-    kb: KnowledgeBase, positive: LabeledTriple, rng: np.random.Generator
-) -> LabeledTriple | None:
-    """Replace head or tail with a phrase seen in that slot for the relation.
-
-    The coin-flipped slot falls back to the other one when its pool is empty
-    (the original phrase never counts). In-KB draws are retried with a budget
-    shared across both slots, then the positive is skipped.
-    """
-    pools = {
-        slot: sorted(kb.slot_phrases(positive.relation, slot) - {positive.phrase(slot)})
-        for slot in SLOTS
-    }
-    if not pools[HEAD] and not pools[TAIL]:
-        logger.debug("slot sampler skipped %s: both slot pools empty", positive)
-        return None
-    for _ in range(CORRUPT_RETRIES):
-        slot = SLOTS[int(rng.integers(2))]
-        if not pools[slot]:
-            slot = TAIL if slot == HEAD else HEAD
-        pool = pools[slot]
-        candidate = positive.replace(slot, pool[int(rng.integers(len(pool)))])
-        if not kb.contains(candidate):
-            return candidate
-    logger.debug("slot sampler skipped %s: retries exhausted", positive)
-    return None
+    kb: KnowledgeBase,
+    positives: list[LabeledTriple],
+    per_positive: int,
+    rng: np.random.Generator,
+) -> list[LabeledTriple]:
+    """Like `sample_uniform`, but each slot's pool is the phrases the
+    positive's relation has seen in it. The flipped slot falls back to the
+    other when its pool holds nothing but the original; an entry with two
+    such pools is skipped."""
+    ids = kb.ids
+    rows, column = _flipped_rows(ids, positives, per_positive, rng)
+    head = ids.slot_ranges(rows[:, 1], 0, rows[:, 0])
+    tail = ids.slot_ranges(rows[:, 1], 1, rows[:, 2])
+    start, size, skip = (np.stack(pair) for pair in zip(head, tail))  # (2, n): slot, entry
+    entry = np.arange(len(rows))
+    choices = size - (skip >= 0)
+    slot = column // 2
+    slot = np.where(choices[slot, entry] > 0, slot, 1 - slot)
+    keep = choices[slot, entry] > 0
+    if not keep.all():
+        logger.debug("slot sampler skipped %d entries: both slot pools empty", (~keep).sum())
+    slot, entry = slot[keep], entry[keep]
+    pools = Pools(
+        ids.slot_keys % ids.n_phrases,
+        start[slot, entry],
+        size[slot, entry],
+        skip[slot, entry],
+    )
+    return ids.decode(_draw_corruptions(ids, rows[entry], 2 * slot, rng, pools))
 
 
 def sample_antonyms(
     lexicon: AntonymLexicon,
+    kb: KnowledgeBase,
     positive: LabeledTriple,
-    pos_of: Callable[[str], str | None] | None,
     rng: np.random.Generator,
-    *,
-    kb: KnowledgeBase | None = None,
 ) -> LabeledTriple | None:
-    """Swap the first class-matching token of the head (else tail) for an antonym.
+    """Swap the leftmost lexicon token of the head (else tail) for an antonym.
 
-    A phrase's class is the class of its leftmost tagged token; the replaced
-    token is the leftmost one of that class with a lexicon entry. `pos_of`
-    overrides the lexicon's own tags when given. With `kb` set, edits that
-    collide with a stored positive are redrawn, then skipped.
+    Edits that collide with a stored positive are redrawn, then skipped.
     """
-    tag = pos_of if pos_of is not None else lexicon.pos_class
     for slot in SLOTS:
         phrase = positive.phrase(slot)
-        phrase_class = next((c for c in map(tag, phrase.tokens) if c is not None), None)
-        if phrase_class is None:
-            continue
-        site = next(
-            (
-                i
-                for i, tok in enumerate(phrase.tokens)
-                if tag(tok) == phrase_class and lexicon.antonyms(tok)
-            ),
-            None,
-        )
+        site = next((i for i, tok in enumerate(phrase.tokens) if tok in lexicon), None)
         if site is None:
             continue
         options = lexicon.antonyms(phrase.tokens[site])
         for _ in range(CORRUPT_RETRIES):
-            antonym = options[int(rng.integers(len(options)))]
             tokens = list(phrase.tokens)
-            tokens[site] = antonym
+            tokens[site] = options[int(rng.integers(len(options)))]
             candidate = positive.replace(slot, Phrase(tuple(tokens)))
-            if kb is not None and kb.contains(candidate):
-                continue
-            return candidate
+            if not kb.contains(candidate):
+                return candidate
         logger.debug("antonym sampler skipped %s: retries exhausted", positive)
         return None
     logger.debug("antonym sampler skipped %s: no replaceable token", positive)
@@ -242,25 +245,20 @@ def sample_antonyms(
 def sample_sans(
     graph: EntityGraph,
     kb: KnowledgeBase,
-    positive: LabeledTriple,
-    hops: int,
+    positives: list[LabeledTriple],
+    per_positive: int,
     rng: np.random.Generator,
-) -> LabeledTriple | None:
-    """Replace head or tail (coin flip) with a phrase within `hops` graph edges.
-
-    The neighborhood excludes the phrase itself; an empty neighborhood skips
-    the positive, and in-KB draws are retried before skipping.
-    """
-    if hops < 1:
-        raise ValueError(f"hops must be >= 1, got {hops}")
-    slot = SLOTS[int(rng.integers(2))]
-    pool = graph.within(positive.phrase(slot), hops)
-    if not pool:
-        logger.debug("k-hop sampler skipped %s: empty neighborhood", positive)
-        return None
-    for _ in range(CORRUPT_RETRIES):
-        candidate = positive.replace(slot, pool[int(rng.integers(len(pool)))])
-        if not kb.contains(candidate):
-            return candidate
-    logger.debug("k-hop sampler skipped %s: retries exhausted", positive)
-    return None
+) -> list[LabeledTriple]:
+    """Like `sample_uniform`, but the pool is the flipped phrase's
+    neighbourhood in `graph`. An empty neighbourhood, or a phrase the KB
+    does not store, skips the entry."""
+    ids = kb.ids
+    rows, column = _flipped_rows(ids, positives, per_positive, rng)
+    phrase = rows[np.arange(len(rows)), column]
+    size = np.append(np.diff(graph.offsets), 0)[phrase]  # id -1 reads the appended 0
+    keep = size > 0
+    if not keep.all():
+        logger.debug("k-hop sampler skipped %d entries: empty neighbourhood", (~keep).sum())
+    phrase = phrase[keep]
+    pools = Pools(graph.members, graph.offsets[phrase], size[keep], np.full(len(phrase), -1))
+    return ids.decode(_draw_corruptions(ids, rows[keep], column[keep], rng, pools))

@@ -20,7 +20,9 @@ embedding sums, computed once per call.
 Contrastive corruptions are drawn on the KB's integer view (`kb.ids`), whose
 phrase ids match the training `PhraseTable`: an epoch's replacements are
 integer arrays, collisions with stored positives are found by binary search
-over packed triple keys, and only the colliding entries are redrawn.
+over packed triple keys, and only the colliding entries are redrawn. The
+same draw, over per-entry `Pools`, serves the uniform, slot and k-hop
+samplers.
 """
 from __future__ import annotations
 
@@ -259,30 +261,53 @@ def _mode_columns(modes: list[str]) -> np.ndarray:
     return np.asarray([CORRUPTION_MODES.index(m) for m in modes], dtype=np.int64)
 
 
+class Pools(NamedTuple):
+    """Per-entry replacement pools, as ranges of one shared id array.
+
+    Entry i draws from `values[start[i] : start[i] + size[i]]`, never from
+    position `skip[i]` of that range, which holds the original (-1: the
+    original is not in the range).
+    """
+
+    values: np.ndarray
+    start: np.ndarray
+    size: np.ndarray
+    skip: np.ndarray
+
+
 def _draw_corruptions(
-    ids: IdView, rows: np.ndarray, column: np.ndarray, rng: np.random.Generator
+    ids: IdView,
+    rows: np.ndarray,
+    column: np.ndarray,
+    rng: np.random.Generator,
+    pools: Pools | None = None,
 ) -> np.ndarray:
     """Corrupted id `rows`, in order, minus skips; draws into `rows` in place.
 
     Entry i replaces column `column[i]` (0 head, 1 relation, 2 tail) with a
-    uniform draw from the KB's phrases (or relations), excluding the
-    original: a draw j >= original becomes j + 1. Entries that land on a
-    stored positive are redrawn together, in the same column, for up to
-    CORRUPT_RETRIES rounds in all; those still colliding are skipped.
+    uniform draw from its pool, excluding the original: a draw j >= skip
+    becomes j + 1. The default pools are all of the KB's phrases (or
+    relations), in id order. Entries that land on a stored positive are
+    redrawn together, in the same column, for up to CORRUPT_RETRIES rounds
+    in all; those still colliding are skipped.
     """
-    original = rows[np.arange(len(rows)), column]
-    has_original = original >= 0
-    pool = np.where(column == 1, len(ids.relations), ids.n_phrases) - has_original
-    if len(pool) and pool.min() < 1:
-        mode = CORRUPTION_MODES[column[pool.argmin()]]
+    if pools is None:
+        size = np.where(column == 1, len(ids.relations), ids.n_phrases)
+        original = rows[np.arange(len(rows)), column]
+        pools = Pools(np.arange(size.max(initial=0)), np.zeros_like(size), size, original)
+    values, start, size, skip = pools
+    has_skip = skip >= 0
+    choices = size - has_skip
+    if len(choices) and choices.min() < 1:
+        mode = CORRUPTION_MODES[column[choices.argmin()]]
         raise ValueError(f"KB too small to corrupt {mode}: no replacement differs from the original")
     pending = np.arange(len(rows))
     for _ in range(CORRUPT_RETRIES):
         if not len(pending):
             break
-        j = rng.integers(pool[pending])
-        j += has_original[pending] & (j >= original[pending])
-        rows[pending, column[pending]] = j
+        j = rng.integers(choices[pending])
+        j += has_skip[pending] & (j >= skip[pending])
+        rows[pending, column[pending]] = values[start[pending] + j]
         pending = pending[ids.contains(*rows[pending].T)]
     if len(pending):
         logger.debug(
@@ -605,16 +630,16 @@ def best_threshold(pos_scores: np.ndarray, neg_scores: np.ndarray) -> tuple[floa
     cases). Ties prefer the widest margin, then the smallest threshold.
     Returns (threshold, accuracy).
     """
-    scores = np.concatenate([pos_scores, neg_scores])
-    labels = np.concatenate([np.ones(len(pos_scores)), np.zeros(len(neg_scores))])
-    distinct = np.unique(scores)
+    distinct = np.unique(np.concatenate([pos_scores, neg_scores]))
     mids = (distinct[:-1] + distinct[1:]) / 2.0
     margins = (distinct[1:] - distinct[:-1]) / 2.0
     # Sentinel margin 1.0 beats any probability-gap half-width.
     cands = np.concatenate([[distinct[0] - 1.0], mids, [distinct[-1] + 1.0]])
     cand_margins = np.concatenate([[1.0], margins, [1.0]])
-    correct = (scores[None, :] > cands[:, None]) == labels[None, :].astype(bool)
-    accs = correct.mean(axis=1)
+    # Correct at theta: positives scoring > theta plus negatives scoring <= theta.
+    pos_at_most = np.searchsorted(np.sort(pos_scores), cands, side="right")
+    neg_at_most = np.searchsorted(np.sort(neg_scores), cands, side="right")
+    accs = (len(pos_scores) - pos_at_most + neg_at_most) / (len(pos_scores) + len(neg_scores))
     order = np.lexsort((cands, -cand_margins, -accs))
     best = order[0]
     return float(cands[best]), float(accs[best])
@@ -642,11 +667,6 @@ def fit_thresholds(params: ScorerParams, validation: list[LabeledTriple]) -> Thr
             theta, _ = best_threshold(rel_scores[rel_labels == 1], rel_scores[rel_labels == 0])
             per_relation[relation] = theta
     return ThresholdMap(per_relation, fallback)
-
-
-def classify(params: ScorerParams, thresholds: ThresholdMap, triple: LabeledTriple) -> bool:
-    """True iff the triple scores strictly above its relation's threshold."""
-    return score(params, triple) > thresholds.threshold_for(triple.relation)
 
 
 def embed_phrase(params: ScorerParams, phrase: Phrase) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Shared test helpers: triple builders, corruption, checkpoint surgery, and the gradient oracle."""
+"""Shared test helpers: triple builders, corruption and recorded draws, checkpoint surgery, and the gradient oracle."""
 import json
 import math
 
@@ -17,6 +17,19 @@ def corrupt(kb, positive, mode, rng):
     ids = kb.ids
     rows = _draw_corruptions(ids, ids.encode([positive]), _mode_columns([mode]), rng)
     return ids.decode(rows)[0] if len(rows) else None
+
+
+class RecordingRng:
+    """A Generator stand-in that keeps every `integers` call's highs and draws."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.calls = []
+
+    def integers(self, high, size=None):
+        draws = self.rng.integers(high, size=size)
+        self.calls.append((np.array(high), np.array(draws)))
+        return draws
 
 
 def rewrite_checkpoint_header(path, edit):

@@ -1,18 +1,23 @@
 """End-to-end tests for the pipeline subcommands."""
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 from conftest import rewrite_checkpoint_header
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from negmine.checkpoint import load_checkpoint, save_checkpoint
 from negmine.cli import main
 from negmine.kb import save_tsv
 from negmine.scorer import TokenVocab, init_params
 from negmine.rankers import read_ranked_tsv
-from negmine.evaluation import read_trials_tsv
+from negmine.evaluation import RANKED_SAMPLERS, SAMPLERS, read_trials_tsv
 from negmine.synthetic import SyntheticSpec, generate_kb
 
 SPEC = SyntheticSpec(
@@ -312,3 +317,119 @@ class TestEnvironmentOverrides:
                    "--output-dir", str(tmp_path / "flag-out")) == 0
         capsys.readouterr()
         assert (tmp_path / "flag-out" / "scorer.ckpt").exists()
+
+
+def fail_closed_world():
+    """File name -> bytes of a tiny evaluable world: KB, lexicon, one ranked file per method."""
+    from negmine.samplers import save_antonyms
+    from negmine.synthetic import generate_lexicon
+
+    kb = generate_kb(SyntheticSpec(clusters=3, cluster_size=4, relations=6, density=0.8,
+                                   negative_fraction=0.3, seed=5))
+    with tempfile.TemporaryDirectory() as tmp:
+        save_tsv(list(kb.triples), Path(tmp) / "kb.tsv")
+        save_antonyms(generate_lexicon(), Path(tmp) / "lexicon.tsv")
+        files = {name: (Path(tmp) / name).read_bytes() for name in ("kb.tsv", "lexicon.tsv")}
+    # Ranked negatives: each positive with the next positive's tail.
+    triples = kb.triples
+    rows = [
+        f"{i + 1}\t{a.relation}\t{a.head.text}\t{b.tail.text}\t0.5"
+        for i, (a, b) in enumerate(zip(triples, triples[1:] + triples[:1]))
+    ]
+    for method in ("theta", "grad", "none"):
+        files[f"ranked-{method}.tsv"] = "".join(f"{r}\t{method}\n" for r in rows).encode()
+    return files
+
+
+FAIL_CLOSED_FILES = fail_closed_world()
+FUZZ_FIELDS = st.sampled_from(
+    [b"", b"0", b"-1", b"1e400", b"nan", b"inf", b"#", b"a b", b"\xff", b"Not", b"1\t2"]
+) | st.binary(max_size=6)
+
+
+@st.composite
+def corrupted(draw, data):
+    """`data` kept, or with a byte span replaced, a line dropped or repeated,
+    or one field of a line swapped for fuzz."""
+    kind = draw(st.sampled_from(["keep", "bytes", "drop", "repeat", "field"]))
+    if kind == "keep":
+        return data
+    if kind == "bytes":
+        i = draw(st.integers(0, len(data)))
+        j = draw(st.integers(i, min(len(data), i + 8)))
+        return data[:i] + draw(st.binary(max_size=8)) + data[j:]
+    lines = data.split(b"\n")
+    k = draw(st.integers(0, len(lines) - 1))
+    if kind == "drop":
+        del lines[k]
+    elif kind == "repeat":
+        lines.insert(k, lines[k])
+    else:
+        fields = lines[k].split(b"\t")
+        fields[draw(st.integers(0, len(fields) - 1))] = draw(FUZZ_FIELDS)
+        lines[k] = b"\t".join(fields)
+    return b"\n".join(lines)
+
+
+SMALL_INTS = st.integers(-2, 3).map(str)
+CONFIG_VALUES = {
+    "sampler": st.sampled_from(SAMPLERS + ("magic", "")),
+    "hops": st.one_of(st.integers(-2, 5), st.integers(6, 10**12)).map(str)
+    | st.sampled_from(["", "x", "2.5", "nan"]),
+    "eval_negatives": SMALL_INTS,
+    "trials": SMALL_INTS,
+    "epochs": SMALL_INTS,
+    "seed": SMALL_INTS,
+    "split_seed": SMALL_INTS,
+    "split": st.sampled_from(["none", "true-negatives", "bogus"]),
+    "negation_prefix": st.sampled_from(["Not", "", "R", "x"]),
+    "validation_fraction": st.sampled_from(["0", "0.5", "1", "1.5", "nan", "-0.1"]),
+    "learning_rate": st.sampled_from(["0.05", "0", "-1", "nan", "inf", "1e308"]),
+    "batch_size": SMALL_INTS,
+    "kb_columns": st.sampled_from(["rht", "thr", "rrt", ""]),
+    "baseline": st.sampled_from(SAMPLERS + ("magic",)),
+}
+
+
+class TestFailClosed:
+    """Corrupt inputs to `sample` and `evaluate` exit 0, 2 or 3, never 4."""
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(
+        run_of=st.sampled_from(
+            [("sample", s) for s in SAMPLERS if s not in RANKED_SAMPLERS]
+            + [("evaluate", s) for s in SAMPLERS]
+        ),
+        files=st.fixed_dictionaries(
+            {name: corrupted(data) for name, data in FAIL_CLOSED_FILES.items()}
+        ),
+        config=st.dictionaries(st.sampled_from(sorted(CONFIG_VALUES)), st.just(None), max_size=3)
+        .flatmap(lambda keys: st.fixed_dictionaries({k: CONFIG_VALUES[k] for k in keys})),
+    )
+    def test_corrupt_inputs_never_exit_internal(self, run_of, files, config):
+        stage, sampler = run_of
+        method = {"negater-theta": "theta", "negater-grad": "grad"}.get(sampler, "none")
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            for name, data in files.items():
+                (tmp / name).write_bytes(data)
+            settings_ = {
+                "kb": tmp / "kb.tsv",
+                "lexicon": tmp / "lexicon.tsv",
+                "ranked": tmp / f"ranked-{method}.tsv",
+                "output_dir": tmp / "out",
+                "split": "true-negatives",
+                "sampler": sampler,
+                "hidden_dim": 4,
+                "epochs": 1,
+                "trials": 1,
+                "batch_size": 16,
+            }
+            settings_.update(config)
+            text = "".join(f"{key}={value}\n" for key, value in settings_.items())
+            (tmp / "run.conf").write_bytes(text.encode("utf-8", "surrogateescape"))
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = run(stage, "--config", str(tmp / "run.conf"))
+        assert code in (0, 2, 3), err.getvalue()

@@ -330,14 +330,15 @@ class TestRunExperiment:
 
         kb = eval_kb()
         lexicon = AntonymLexicon({f"a{i}": ("noun", ["x0", "x1", "x2"]) for i in range(4)})
-        graph = EntityGraph.from_kb(kb)
+        graph = EntityGraph.from_kb(kb, 2)
         rng = np.random.default_rng([7, 50])
-        draw = {
-            "slots": lambda p: sample_slots(kb, p, rng),
-            "antonyms": lambda p: sample_antonyms(lexicon, p, None, rng, kb=kb),
-            "sans": lambda p: sample_sans(graph, kb, p, 2, rng),
-        }[sampler]
-        expected = [draw(p) for p in kb.splits.train]
+        train = kb.splits.train
+        if sampler == "slots":
+            expected = sample_slots(kb, train, 1, rng)
+        elif sampler == "sans":
+            expected = sample_sans(graph, kb, train, 1, rng)
+        else:
+            expected = [sample_antonyms(lexicon, kb, p, rng) for p in train]
         config = fast_config(sampler, lexicon=lexicon, hops=2)
         assert _draw_negatives(kb, config, graph, 7) == [n for n in expected if n is not None]
 

@@ -3,20 +3,25 @@
 `reference_generate_candidates` is the object-level loop that
 `generate_candidates` replaced: one `Phrase` substitution, slot check and
 `kb.contains` per neighbor. The vectorized generator must return the same
-list, element for element. Corruption draws, for training and for the
-uniform sampler, are replayed from the values a recording generator handed
-out and checked against `kb.contains`.
+list, element for element. `reference_within` is the `Phrase`-set BFS that
+`EntityGraph.from_kb` replaced; the k-hop pools must hold the same phrases.
+Corruption draws, for training and for the uniform, slot and k-hop
+samplers, are replayed from the values a recording generator handed out,
+over pools built here from the object API, and checked against
+`kb.contains`.
 """
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from conftest import corrupt
+from conftest import RecordingRng, corrupt
 
 from negmine.candidates import Candidate, generate_candidates
-from negmine.kb import HEAD, TAIL, KnowledgeBase, LabeledTriple, Phrase
+from negmine.kb import HEAD, SLOTS, TAIL, KnowledgeBase, LabeledTriple, Phrase
 from negmine.retrieval import build_index, knn
-from negmine.samplers import sample_uniform
+from negmine.samplers import EntityGraph, sample_sans, sample_slots, sample_uniform
 from negmine.scorer import (
     CORRUPT_RETRIES,
     CORRUPTION_MODES,
@@ -134,45 +139,51 @@ class TestCandidatesEquivalence:
         assert generate_candidates(kb, index, 5) == expected
 
 
-class RecordingRng:
-    """A Generator stand-in that keeps every `integers` call's highs and draws."""
+def reference_within(kb, phrase, hops):
+    """Phrases 1..hops head-tail edges from `phrase`, itself excluded, sorted."""
+    adjacency = {}
+    for t in kb.triples:
+        if t.head != t.tail:
+            adjacency.setdefault(t.head, set()).add(t.tail)
+            adjacency.setdefault(t.tail, set()).add(t.head)
+    seen = {phrase}
+    frontier = {phrase}
+    reached = set()
+    for _ in range(hops):
+        frontier = {q for p in frontier for q in adjacency.get(p, ())} - seen
+        if not frontier:
+            break
+        reached |= frontier
+        seen |= frontier
+    return sorted(reached)
 
-    def __init__(self, seed):
-        self.rng = np.random.default_rng(seed)
-        self.calls = []
 
-    def integers(self, high, size=None):
-        draws = self.rng.integers(high, size=size)
-        self.calls.append((np.array(high), np.array(draws)))
-        return draws
+def in_id_order(kb, phrases):
+    return sorted(phrases, key=kb.phrase_positions.__getitem__)
 
 
 def replay(kb, entries, calls):
-    """Corruptions rebuilt from recorded draws, one (positive, mode) entry at a time.
+    """Corruptions rebuilt from recorded draws, one (positive, mode, pool) entry at a time.
 
-    Returns the negatives and, per entry, how many of its draws collided
-    with a stored positive.
+    An entry replaces its positive's `mode` field ("head", "relation" or
+    "tail") by a draw over `pool` without the original, in pool order; with
+    nothing left it draws nothing. Returns the negatives and, per entry, how
+    many of its draws collided with a stored positive.
     """
-    relations = sorted(kb.relations)
+    def choices(e):
+        positive, mode, pool = entries[e]
+        return [x for x in pool if x != getattr(positive, mode)]
+
     result = [None] * len(entries)
     collisions = [0] * len(entries)
-    pending = list(range(len(entries)))
+    pending = [e for e in range(len(entries)) if choices(e)]
     for highs, draws in calls:
         assert len(highs) == len(pending)
         still = []
         for e, high, j in zip(pending, highs.tolist(), draws.tolist()):
-            positive, mode = entries[e]
-            if mode == "relation":
-                pool, original = relations, positive.relation
-            else:
-                pool, original = list(kb.phrases), positive.phrase(HEAD if mode == "head" else TAIL)
-            assert high == len(pool) - 1
-            skip = pool.index(original)
-            replacement = pool[j + 1 if j >= skip else j]
-            if mode == "relation":
-                neg = LabeledTriple(positive.head, replacement, positive.tail, 0)
-            else:
-                neg = positive.replace(HEAD if mode == "head" else TAIL, replacement, label=0)
+            positive, mode, _ = entries[e]
+            assert high == len(choices(e))
+            neg = replace(positive, **{mode: choices(e)[j]}, label=0)
             if kb.contains(neg):
                 collisions[e] += 1
                 still.append(e)
@@ -183,16 +194,19 @@ def replay(kb, entries, calls):
 
 
 def check_draw_contract(kb, entries, collisions, negatives):
-    """Kept entries differ from their positive in exactly their mode's slot and
-    are out-of-KB; an entry is skipped only after every retry collided.
+    """Kept entries differ from their positive in exactly their mode's slot,
+    take the replacement from their pool, and are out-of-KB; an entry is
+    skipped only when its pool holds nothing but the original, or after
+    every retry collided.
 
     Returns the kept and skipped counts per mode.
     """
     kept = iter(negatives)
     per_mode = {m: 0 for m in CORRUPTION_MODES}
     skipped = {m: 0 for m in CORRUPTION_MODES}
-    for (positive, entry_mode), n_collided in zip(entries, collisions):
-        if n_collided == CORRUPT_RETRIES:
+    for (positive, entry_mode, pool), n_collided in zip(entries, collisions):
+        original = getattr(positive, entry_mode)
+        if not [x for x in pool if x != original] or n_collided == CORRUPT_RETRIES:
             skipped[entry_mode] += 1
             continue
         assert n_collided < CORRUPT_RETRIES
@@ -200,14 +214,26 @@ def check_draw_contract(kb, entries, collisions, negatives):
         per_mode[entry_mode] += 1
         assert neg.label == 0
         assert not kb.contains(neg)
-        changed = {
-            "head": neg.head != positive.head,
-            "relation": neg.relation != positive.relation,
-            "tail": neg.tail != positive.tail,
-        }
+        assert getattr(neg, entry_mode) in pool
+        changed = {m: getattr(neg, m) != getattr(positive, m) for m in CORRUPTION_MODES}
         assert changed == {m: m == entry_mode for m in CORRUPTION_MODES}
     assert next(kept, None) is None
     return per_mode, skipped
+
+
+def uniform_pool(kb, mode):
+    return sorted(kb.relations) if mode == "relation" else list(kb.phrases)
+
+
+@st.composite
+def kbs_with_probes(draw):
+    """A small KB and its positives plus triples over its own phrases and
+    relations, some stored, some not."""
+    kb = draw(small_kbs(max_phrases=5, max_relations=2))
+    phrases = st.sampled_from(kb.phrases)
+    cells = st.tuples(phrases, st.sampled_from(sorted(kb.relations)), phrases)
+    probes = draw(st.lists(cells, max_size=6))
+    return kb, list(kb.triples) + [LabeledTriple(h, r, t) for h, r, t in probes]
 
 
 class TestCorruptionDraws:
@@ -229,7 +255,7 @@ class TestCorruptionDraws:
         rng = RecordingRng(seed)
         rows = corruption_examples(kb, list(kb.triples), config, rng)
         negatives = kb.ids.decode(rows)
-        entries = [(p, m) for p in kb.triples for m in modes]
+        entries = [(p, m, uniform_pool(kb, m)) for p in kb.triples for m in modes]
         expected, collisions = replay(kb, entries, rng.calls)
         assert negatives == expected
         assert len(rng.calls) <= CORRUPT_RETRIES
@@ -246,7 +272,7 @@ class TestCorruptionDraws:
         for mode in modes:
             rng = RecordingRng(seed)
             neg = corrupt(kb, kb.triples[0], mode, rng)
-            expected, _ = replay(kb, [(kb.triples[0], mode)], rng.calls)
+            expected, _ = replay(kb, [(kb.triples[0], mode, uniform_pool(kb, mode))], rng.calls)
             assert ([neg] if neg is not None else []) == expected
 
 
@@ -263,7 +289,66 @@ class TestUniformDraws:
         assert flip_high == 2 and len(flips) == per_positive * len(kb)
         # One coin flip per entry picks its slot, kept through every retry.
         positives = [p for p in kb.triples for _ in range(per_positive)]
-        entries = [(p, (HEAD, TAIL)[f]) for p, f in zip(positives, flips.tolist())]
+        entries = [
+            (p, SLOTS[f], uniform_pool(kb, SLOTS[f])) for p, f in zip(positives, flips.tolist())
+        ]
+        expected, collisions = replay(kb, entries, draws)
+        assert negatives == expected
+        assert len(draws) <= CORRUPT_RETRIES
+        check_draw_contract(kb, entries, collisions, negatives)
+
+
+def slot_pool(kb, relation, slot):
+    return in_id_order(kb, kb.slot_phrases(relation, slot))
+
+
+class TestSlotDraws:
+    @SETTINGS
+    @given(kbs_with_probes(), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_negatives_follow_the_draw_contract(self, case, per_positive, seed):
+        kb, positives = case
+        rng = RecordingRng(seed)
+        negatives = sample_slots(kb, positives, per_positive, rng)
+        (flip_high, flips), *draws = rng.calls
+        assert flip_high == 2 and len(flips) == per_positive * len(positives)
+        # The flipped slot, or the other one when the flipped pool holds
+        # nothing but the original; kept through every retry.
+        entries = []
+        for p, f in zip([p for p in positives for _ in range(per_positive)], flips.tolist()):
+            slot, other = SLOTS[f], SLOTS[1 - f]
+            if not [q for q in slot_pool(kb, p.relation, slot) if q != p.phrase(slot)]:
+                slot = other
+            entries.append((p, slot, slot_pool(kb, p.relation, slot)))
+        expected, collisions = replay(kb, entries, draws)
+        assert negatives == expected
+        assert len(draws) <= CORRUPT_RETRIES
+        check_draw_contract(kb, entries, collisions, negatives)
+
+
+class TestKHopDraws:
+    @SETTINGS
+    @given(small_kbs(), st.integers(1, 4))
+    def test_pools_equal_the_reference_walk(self, kb, hops):
+        graph = EntityGraph.from_kb(kb, hops)
+        assert len(graph.offsets) == len(kb.phrases) + 1
+        for i, phrase in enumerate(kb.phrases):
+            members = graph.members[graph.offsets[i] : graph.offsets[i + 1]]
+            assert [kb.phrases[j] for j in members] == in_id_order(
+                kb, reference_within(kb, phrase, hops)
+            )
+
+    @SETTINGS
+    @given(kbs_with_probes(), st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_negatives_follow_the_draw_contract(self, case, hops, per_positive, seed):
+        kb, positives = case
+        rng = RecordingRng(seed)
+        negatives = sample_sans(EntityGraph.from_kb(kb, hops), kb, positives, per_positive, rng)
+        (flip_high, flips), *draws = rng.calls
+        assert flip_high == 2 and len(flips) == per_positive * len(positives)
+        entries = [
+            (p, SLOTS[f], in_id_order(kb, reference_within(kb, p.phrase(SLOTS[f]), hops)))
+            for p, f in zip([p for p in positives for _ in range(per_positive)], flips.tolist())
+        ]
         expected, collisions = replay(kb, entries, draws)
         assert negatives == expected
         assert len(draws) <= CORRUPT_RETRIES

@@ -1,6 +1,7 @@
 """Baseline negative samplers: lexicon, phrase graph, and draw contracts."""
 import numpy as np
 import pytest
+from conftest import RecordingRng
 from conftest import make_triple as t
 
 from negmine.kb import HEAD, TAIL, KnowledgeBase, ParseError, Phrase
@@ -19,18 +20,6 @@ from negmine.scorer import CORRUPT_RETRIES
 
 def p(text):
     return Phrase.parse(text)
-
-
-class ScriptedRng:
-    """Stand-in generator returning scripted integers() draws, then zeros."""
-
-    def __init__(self, draws):
-        self.draws = list(draws)
-        self.calls = []
-
-    def integers(self, bound):
-        self.calls.append(int(bound))
-        return self.draws.pop(0) if self.draws else 0
 
 
 class TestAntonymLexicon:
@@ -123,43 +112,49 @@ def chain_kb():
     return KnowledgeBase([t("R", "a", "b"), t("R", "b", "c"), t("R", "c", "d")])
 
 
+def hood(graph, kb, text):
+    """The neighbourhood of KB phrase `text`, as phrases in id order."""
+    i = kb.phrase_positions[p(text)]
+    return [kb.phrases[j] for j in graph.members[graph.offsets[i] : graph.offsets[i + 1]]]
+
+
 class TestEntityGraph:
     def test_chain_neighborhoods(self):
-        g = EntityGraph.from_kb(chain_kb())
-        assert g.within(p("a"), 2) == [p("b"), p("c")]
-        assert g.within(p("a"), 1) == [p("b")]
-        assert g.within(p("b"), 1) == [p("a"), p("c")]
-        assert g.within(p("a"), 3) == [p("b"), p("c"), p("d")]
-        assert g.within(p("a"), 10) == [p("b"), p("c"), p("d")]
+        kb = chain_kb()
+        assert hood(EntityGraph.from_kb(kb, 2), kb, "a") == [p("b"), p("c")]
+        assert hood(EntityGraph.from_kb(kb, 1), kb, "a") == [p("b")]
+        assert hood(EntityGraph.from_kb(kb, 1), kb, "b") == [p("a"), p("c")]
+        assert hood(EntityGraph.from_kb(kb, 3), kb, "a") == [p("b"), p("c"), p("d")]
+        assert hood(EntityGraph.from_kb(kb, 10), kb, "a") == [p("b"), p("c"), p("d")]
 
     def test_symmetry(self):
-        g = EntityGraph.from_kb(chain_kb())
-        for phrase, neighbors in g.adjacency.items():
-            for other in neighbors:
-                assert phrase in g.adjacency[other]
+        kb = chain_kb()
+        for hops in (1, 2, 3):
+            g = EntityGraph.from_kb(kb, hops)
+            for phrase in kb.phrases:
+                for other in hood(g, kb, phrase.text):
+                    assert phrase in hood(g, kb, other.text)
 
     def test_self_loops_dropped(self):
-        g = EntityGraph.from_kb(KnowledgeBase([t("R", "a", "a"), t("R", "a", "b")]))
-        assert g.neighbors(p("a")) == frozenset({p("b")})
+        kb = KnowledgeBase([t("R", "a", "a"), t("R", "a", "b")])
+        g = EntityGraph.from_kb(kb, 1)
+        assert hood(g, kb, "a") == [p("b")]
+        assert hood(g, kb, "b") == [p("a")]
 
     def test_isolated_phrase_empty(self):
-        g = EntityGraph.from_kb(KnowledgeBase([t("R", "a", "a")]))
-        assert g.within(p("a"), 2) == []
+        kb = KnowledgeBase([t("R", "a", "a")])
+        assert hood(EntityGraph.from_kb(kb, 2), kb, "a") == []
 
     def test_unknown_phrase_empty(self):
-        g = EntityGraph.from_kb(chain_kb())
-        assert g.within(p("zzz"), 2) == []
+        # Phrases the KB does not store have no neighbourhood: every entry skips.
+        kb = chain_kb()
+        graph = EntityGraph.from_kb(kb, 2)
+        probe = t("R", "zzz", "yyy")
+        assert sample_sans(graph, kb, [probe], 20, np.random.default_rng(0)) == []
 
     def test_hops_validated(self):
-        g = EntityGraph.from_kb(chain_kb())
         with pytest.raises(ValueError, match="hops"):
-            g.within(p("a"), 0)
-
-    def test_invariants_enforced(self):
-        with pytest.raises(ValueError, match="self-loop"):
-            EntityGraph({p("a"): frozenset({p("a")})})
-        with pytest.raises(ValueError, match="asymmetric"):
-            EntityGraph({p("a"): frozenset({p("b")}), p("b"): frozenset()})
+            EntityGraph.from_kb(chain_kb(), 0)
 
 
 class TestSampleUniform:
@@ -215,11 +210,21 @@ class TestSampleUniform:
         assert seq(3) != seq(4)
 
 
+def changed_slot(out, positive):
+    """The one slot `out` changed from `positive`."""
+    assert (out.head != positive.head) + (out.tail != positive.tail) == 1
+    assert out.relation == positive.relation
+    return HEAD if out.head != positive.head else TAIL
+
+
 class TestSampleSlots:
     def test_single_valid_head_draw(self):
         kb = KnowledgeBase([t("R", "a", "x"), t("R", "c", "y")])
         positive = kb.triples[0]
-        outs = {sample_slots(kb, positive, np.random.default_rng(s)) for s in range(30)}
+        outs = set()
+        for s in range(30):
+            [out] = sample_slots(kb, [positive], 1, np.random.default_rng(s))
+            outs.add(out)
         assert outs == {t("R", "c", "x", 0), t("R", "a", "y", 0)}
 
     def test_replacement_stays_in_slot_pool(self):
@@ -228,46 +233,59 @@ class TestSampleSlots:
             [t("R", f"h{i}", f"t{j}") for i in range(4) for j in range(4) if (i + j) % 2]
         )
         for positive in kb.triples:
-            for _ in range(20):
-                out = sample_slots(kb, positive, rng)
-                if out is None:
-                    continue
+            for out in sample_slots(kb, [positive], 20, rng):
                 assert out.label == 0 and not kb.contains(out)
-                slot = HEAD if out.head != positive.head else TAIL
+                slot = changed_slot(out, positive)
                 assert out.phrase(slot) in kb.slot_phrases(positive.relation, slot)
 
     def test_empty_head_pool_attempts_tail(self):
-        # Sole R-head: every tail swap stays in-KB, so the sampler must spend
-        # its whole budget drawing from the tail pool before skipping.
+        # Sole R-head: both coin flips land on the tail pool {y}, where every
+        # swap stays in-KB, so each entry spends its whole budget there and
+        # is skipped.
         kb = KnowledgeBase([t("R", "a", "x"), t("R", "a", "y")])
-        rng = ScriptedRng([])
-        assert sample_slots(kb, kb.triples[0], rng) is None
-        assert len(rng.calls) == 2 * CORRUPT_RETRIES
-        assert all(bound == 2 or bound == 1 for bound in rng.calls)
-        # Every draw call (bound 1) targets the singleton tail pool {y}.
-        assert rng.calls.count(1) == CORRUPT_RETRIES
+        rng = RecordingRng(0)
+        assert sample_slots(kb, [kb.triples[0]], 8, rng) == []
+        (flip_high, flips), *draws = rng.calls
+        assert flip_high == 2 and set(flips.tolist()) == {0, 1}
+        assert len(draws) == CORRUPT_RETRIES
+        for highs, _ in draws:
+            assert highs.tolist() == [1] * 8
 
     def test_both_pools_empty_skips(self):
         kb = KnowledgeBase([t("R", "a", "x")])
-        assert sample_slots(kb, kb.triples[0], np.random.default_rng(0)) is None
+        rng = RecordingRng(0)
+        assert sample_slots(kb, [kb.triples[0]], 3, rng) == []
+        assert len(rng.calls) == 1  # the coin flips; no entry draws
+
+    def test_unknown_relation_skips(self):
+        # A relation the KB does not store has seen no phrase in either slot.
+        kb = KnowledgeBase([t("R", "a", "x"), t("R", "b", "y")])
+        assert sample_slots(kb, [t("S", "a", "x")], 5, np.random.default_rng(0)) == []
 
     def test_out_of_kb_probe(self):
-        kb = KnowledgeBase([t("R", "a", "x"), t("R", "b", "y")])
-        probe = t("R", "c", "z")
+        kb = KnowledgeBase([t("R", "a", "x"), t("R", "b", "y"), t("R", "c", "z")])
+        probe = t("R", "a", "y")
         for seed in range(10):
-            out = sample_slots(kb, probe, np.random.default_rng(seed))
-            assert out is not None and not kb.contains(out)
-            slot = HEAD if out.head != probe.head else TAIL
-            assert out.phrase(slot) in kb.slot_phrases("R", slot)
+            for out in sample_slots(kb, [probe], 3, np.random.default_rng(seed)):
+                assert not kb.contains(out)
+                slot = changed_slot(out, probe)
+                assert out.phrase(slot) in kb.slot_phrases("R", slot)
+        # A phrase the KB does not store survives in the unflipped slot and
+        # cannot be decoded, as in `sample_uniform`.
+        with pytest.raises(ValueError, match="does not store"):
+            sample_slots(kb, [t("R", "q", "w")], 4, np.random.default_rng(0))
 
     def test_seeded_sequence_reproducible(self):
         kb = KnowledgeBase(
             [t("R", f"h{i}", f"t{j}") for i in range(3) for j in range(3) if i != j]
         )
-        seq = lambda seed: [
-            sample_slots(kb, pos, np.random.default_rng(seed)) for pos in kb.triples
-        ]
+        seq = lambda seed: sample_slots(kb, list(kb.triples), 1, np.random.default_rng(seed))
         assert seq(5) == seq(5)
+
+
+def antonym_of(lexicon, positive, rng):
+    """The antonym edit of a positive stored alone in its KB."""
+    return sample_antonyms(lexicon, KnowledgeBase([positive]), positive, rng)
 
 
 class TestSampleAntonyms:
@@ -283,25 +301,25 @@ class TestSampleAntonyms:
     def test_single_lexicon_hit(self):
         lex = self.lexicon()
         positive = t("HasProperty", "good dog", "friendly")
-        out = sample_antonyms(lex, positive, None, np.random.default_rng(0))
+        out = antonym_of(lex, positive, np.random.default_rng(0))
         assert out == t("HasProperty", "bad dog", "friendly", 0)
 
     def test_no_match_skips(self):
         lex = self.lexicon()
         positive = t("HasProperty", "quiet dog", "sleepy")
-        assert sample_antonyms(lex, positive, None, np.random.default_rng(0)) is None
+        assert antonym_of(lex, positive, np.random.default_rng(0)) is None
 
     def test_head_tried_before_tail(self):
         lex = self.lexicon()
         positive = t("HasProperty", "hot pan", "good tool")
-        out = sample_antonyms(lex, positive, None, np.random.default_rng(0))
+        out = antonym_of(lex, positive, np.random.default_rng(0))
         assert out.tail == positive.tail
         assert out.head in (p("cold pan"), p("cool pan"))
 
     def test_tail_used_when_head_has_no_entry(self):
         lex = self.lexicon()
         positive = t("HasProperty", "stone wall", "good cover")
-        out = sample_antonyms(lex, positive, None, np.random.default_rng(0))
+        out = antonym_of(lex, positive, np.random.default_rng(0))
         assert out == t("HasProperty", "stone wall", "bad cover", 0)
 
     def test_replacement_never_identity_and_covers_options(self):
@@ -310,47 +328,36 @@ class TestSampleAntonyms:
         seen = set()
         rng = np.random.default_rng(2)
         for _ in range(50):
-            out = sample_antonyms(lex, positive, None, rng)
+            out = antonym_of(lex, positive, rng)
             assert out.head.tokens[0] in ("cold", "cool")
             seen.add(out.head.tokens[0])
         assert seen == {"cold", "cool"}
-
-    def test_phrase_class_gates_replacement_site(self):
-        # Head's first tagged token is an adjective with no entry, so its
-        # nouns are not eligible; the tail's verb is replaced instead.
-        lex = AntonymLexicon(
-            {"car": ("noun", ["bus"]), "rise": ("verb", ["fall"])}
-        )
-        tags = {"fast": "adjective", "car": "noun", "rise": "verb"}.get
-        positive = t("CapableOf", "fast car", "rise")
-        out = sample_antonyms(lex, positive, tags, np.random.default_rng(0))
-        assert out == t("CapableOf", "fast car", "fall", 0)
 
     def test_first_matching_token_wins(self):
         lex = AntonymLexicon(
             {"hot": ("adjective", ["cold"]), "good": ("adjective", ["bad"])}
         )
         positive = t("HasProperty", "hot good soup", "cheap")
-        out = sample_antonyms(lex, positive, None, np.random.default_rng(0))
+        out = antonym_of(lex, positive, np.random.default_rng(0))
         assert out.head == p("cold good soup")
 
     def test_in_kb_collisions_redrawn(self):
         lex = AntonymLexicon({"hot": ("adjective", ["cold", "cool"])})
         kb = KnowledgeBase([t("R", "hot tea", "nice"), t("R", "cold tea", "nice")])
         for seed in range(20):
-            out = sample_antonyms(lex, kb.triples[0], None, np.random.default_rng(seed), kb=kb)
+            out = sample_antonyms(lex, kb, kb.triples[0], np.random.default_rng(seed))
             assert out == t("R", "cool tea", "nice", 0)
 
     def test_in_kb_exhaustion_skips(self):
         lex = AntonymLexicon({"hot": ("adjective", ["cold"])})
         kb = KnowledgeBase([t("R", "hot tea", "nice"), t("R", "cold tea", "nice")])
-        assert sample_antonyms(lex, kb.triples[0], None, np.random.default_rng(0), kb=kb) is None
+        assert sample_antonyms(lex, kb, kb.triples[0], np.random.default_rng(0)) is None
 
     def test_seeded_reproducible(self):
         lex = self.lexicon()
         positive = t("HasProperty", "hot pan", "heavy")
         draw = lambda seed: [
-            sample_antonyms(lex, positive, None, np.random.default_rng(seed)) for _ in range(5)
+            antonym_of(lex, positive, np.random.default_rng(seed)) for _ in range(5)
         ]
         assert draw(9) == draw(9)
 
@@ -358,52 +365,53 @@ class TestSampleAntonyms:
 class TestSampleSans:
     def test_chain_two_hop_outputs(self):
         kb = chain_kb()
-        graph = EntityGraph.from_kb(kb)
+        graph = EntityGraph.from_kb(kb, 2)
         positive = kb.triples[0]  # (a, R, b)
         head_pool = {p("b"), p("c")}  # within 2 hops of a
         tail_pool = {p("a"), p("c"), p("d")}  # within 2 hops of b
         for seed in range(40):
-            out = sample_sans(graph, kb, positive, 2, np.random.default_rng(seed))
-            assert out is not None and out.label == 0 and not kb.contains(out)
-            if out.head != positive.head:
+            [out] = sample_sans(graph, kb, [positive], 1, np.random.default_rng(seed))
+            assert out.label == 0 and not kb.contains(out)
+            if changed_slot(out, positive) == HEAD:
                 assert out.head in head_pool
             else:
                 assert out.tail in tail_pool
 
     def test_chain_one_hop_outputs(self):
         kb = chain_kb()
-        graph = EntityGraph.from_kb(kb)
+        graph = EntityGraph.from_kb(kb, 1)
         positive = kb.triples[0]
         outs = {
-            sample_sans(graph, kb, positive, 1, np.random.default_rng(seed))
+            out
             for seed in range(40)
+            for out in sample_sans(graph, kb, [positive], 1, np.random.default_rng(seed))
         }
         # nbhd(a, 1) = {b}; nbhd(b, 1) = {a, c}; (a,R,c) collides with nothing.
         assert outs == {t("R", "b", "b", 0), t("R", "a", "a", 0), t("R", "a", "c", 0)}
 
     def test_isolated_phrase_skips(self):
         kb = KnowledgeBase([t("R", "a", "a")])
-        graph = EntityGraph.from_kb(kb)
-        assert sample_sans(graph, kb, kb.triples[0], 2, np.random.default_rng(0)) is None
+        graph = EntityGraph.from_kb(kb, 2)
+        rng = RecordingRng(0)
+        assert sample_sans(graph, kb, [kb.triples[0]], 3, rng) == []
+        assert len(rng.calls) == 1  # the coin flips; no entry draws
 
     def test_hops_validated(self):
-        kb = chain_kb()
-        graph = EntityGraph.from_kb(kb)
         with pytest.raises(ValueError, match="hops"):
-            sample_sans(graph, kb, kb.triples[0], 0, np.random.default_rng(0))
+            EntityGraph.from_kb(chain_kb(), 0)
 
     def test_in_kb_exhaustion_skips(self):
         # Every 1-hop swap of (a,R,b) is (b,R,b) or (a,R,a), both stored.
         kb = KnowledgeBase(
             [t("R", "a", "b"), t("R", "b", "a"), t("R", "a", "a"), t("R", "b", "b")]
         )
-        graph = EntityGraph.from_kb(kb)
-        assert sample_sans(graph, kb, kb.triples[0], 1, np.random.default_rng(0)) is None
+        graph = EntityGraph.from_kb(kb, 1)
+        rng = RecordingRng(0)
+        assert sample_sans(graph, kb, [kb.triples[0]], 4, rng) == []
+        assert len(rng.calls) == 1 + CORRUPT_RETRIES
 
     def test_seeded_reproducible(self):
         kb = chain_kb()
-        graph = EntityGraph.from_kb(kb)
-        seq = lambda seed: [
-            sample_sans(graph, kb, pos, 2, np.random.default_rng(seed)) for pos in kb.triples
-        ]
+        graph = EntityGraph.from_kb(kb, 2)
+        seq = lambda seed: sample_sans(graph, kb, list(kb.triples), 1, np.random.default_rng(seed))
         assert seq(11) == seq(11)

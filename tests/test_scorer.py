@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 from conftest import corrupt
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from negmine.kb import HEAD, TAIL, KnowledgeBase, LabeledTriple, Phrase
 from negmine.scorer import (
@@ -16,7 +18,6 @@ from negmine.scorer import (
     _Adagrad,
     _loss_and_gradient_batch,
     best_threshold,
-    classify,
     embed_phrase,
     encode,
     fit_thresholds,
@@ -31,6 +32,26 @@ from negmine.scorer import (
 
 def t(rel, head, tail, label=1):
     return LabeledTriple(Phrase.parse(head), rel, Phrase.parse(tail), label)
+
+
+def classify(params, thresholds, triple):
+    """True iff the triple scores strictly above its relation's threshold."""
+    return score(params, triple) > thresholds.threshold_for(triple.relation)
+
+
+def dense_best_threshold(pos_scores, neg_scores):
+    """`best_threshold` by a dense (candidates x scores) sweep: the reference."""
+    scores = np.concatenate([pos_scores, neg_scores])
+    labels = np.concatenate([np.ones(len(pos_scores)), np.zeros(len(neg_scores))])
+    distinct = np.unique(scores)
+    mids = (distinct[:-1] + distinct[1:]) / 2.0
+    margins = (distinct[1:] - distinct[:-1]) / 2.0
+    cands = np.concatenate([[distinct[0] - 1.0], mids, [distinct[-1] + 1.0]])
+    cand_margins = np.concatenate([[1.0], margins, [1.0]])
+    correct = (scores[None, :] > cands[:, None]) == labels[None, :].astype(bool)
+    accs = correct.mean(axis=1)
+    best = np.lexsort((cands, -cand_margins, -accs))[0]
+    return float(cands[best]), float(accs[best])
 
 
 def toy_kb():
@@ -538,6 +559,24 @@ class TestThresholds:
             labels = np.concatenate([np.ones(n_pos), np.zeros(n_neg)]).astype(bool)
             dense_accs = ((scores[None, :] > dense[:, None]) == labels).mean(axis=1)
             assert acc >= dense_accs.max() - 1e-12
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        st.lists(st.integers(0, 6), min_size=1, max_size=12),
+        st.lists(st.integers(0, 6), min_size=0, max_size=12),
+        st.sampled_from([1.0 / 6.0, 1e-3, 0.5, 1e-300, 1e17]),
+        st.booleans(),
+    )
+    def test_equals_dense_sweep(self, pos, neg, step, swap):
+        # A coarse grid of scores makes ties and duplicates common; tiny and
+        # huge steps make midpoints round onto a score or sentinels collapse.
+        pos = np.asarray(pos) * step
+        neg = np.asarray(neg) * step
+        if swap:
+            pos, neg = neg, pos
+        if not len(pos) + len(neg):
+            return
+        assert best_threshold(pos, neg) == dense_best_threshold(pos, neg)
 
     def test_fit_thresholds_per_relation_and_fallback(self):
         kb = toy_kb()

@@ -197,7 +197,7 @@ class TestLexicon:
         lex = generate_lexicon()
         rng = np.random.default_rng(0)
         pos = kb.triples[0]
-        neg = sample_antonyms(lex, pos, None, rng, kb=kb)
+        neg = sample_antonyms(lex, kb, pos, rng)
         assert neg is not None and neg.label == 0
         # The head quality flips, producing a rule-violating statement.
         assert quality_of(neg.head) != quality_of(pos.head)
