@@ -6,12 +6,16 @@ the environment (output directory only), then flags.
 Exit codes: 0 success; 2 a required stage input is missing; 3 configuration
 or data validation failed; 4 an internal invariant broke. Every failure
 prints a single diagnostic line ``negmine: <kind>: <message>`` to stderr.
+The package's warnings (a KB's collapsed duplicate lines, a reclaimed stale
+lockfile) print there as ``negmine: warning: <message>`` lines, so stderr
+holds nothing else.
 Outputs are written atomically, and a lockfile in the output directory
 rejects concurrent runs against the same artifacts.
 """
 from __future__ import annotations
 
 import argparse
+import logging
 import os
 import sys
 from dataclasses import replace
@@ -328,13 +332,36 @@ STAGES = {
 WRITING_STAGES = frozenset(COMMANDS)
 
 
-def _fail(kind: str, message: str, code: int) -> int:
+def _diagnostic(kind: str, message: str) -> None:
     message = " ".join(str(message).split())
     print(f"negmine: {kind}: {message}", file=sys.stderr)
+
+
+def _fail(kind: str, message: str, code: int) -> int:
+    _diagnostic(kind, message)
     return code
 
 
+class _WarningLines(logging.Handler):
+    """Package warnings as diagnostic lines on the current `sys.stderr`."""
+
+    def __init__(self):
+        super().__init__(logging.WARNING)
+
+    def emit(self, record: logging.LogRecord) -> None:
+        try:
+            _diagnostic("warning", record.getMessage())
+        except Exception:
+            self.handleError(record)
+
+
+_WARNING_LINES = _WarningLines()
+
+
 def main(argv: list[str] | None = None) -> int:
+    # addHandler ignores a handler already attached, so repeated in-process
+    # runs print each warning once.
+    logging.getLogger(__package__).addHandler(_WARNING_LINES)
     args = build_parser().parse_args(argv)
     try:
         config = resolve_config(args)

@@ -14,8 +14,12 @@ into a `PhraseTable`, and hold triples as int rows (head phrase id, relation
 token id, tail phrase id). Training pools a batch through its normalized
 token-count matrix `A` (batch x the batch's distinct tokens), so the forward
 pass is `A @ emb[ids]`, the embedding gradient is `A.T @ dm`, and the
-optimizer steps only those rows. Forward-only scoring pools from per-phrase
-embedding sums, computed once per call.
+optimizer steps only those rows. Each epoch's rows are shuffled once; for
+every block of LAYOUT_BATCHES consecutive batches a `_TokenLayout` lists the
+token ids each row emits, and each batch's `A` is a slice of it. The training
+step takes the logistic as a tanh and the loss with one `log`, clipped as
+`loss_and_gradient` clips it. Forward-only scoring keeps the stable `sigmoid`
+and pools from per-phrase embedding sums, computed once per call.
 
 Contrastive corruptions are drawn on the KB's integer view (`kb.ids`), whose
 phrase ids match the training `PhraseTable`: an epoch's replacements are
@@ -28,7 +32,7 @@ from __future__ import annotations
 
 import logging
 import math
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -393,40 +397,81 @@ def _pool_phrase_sums(params: ScorerParams, table: PhraseTable, rows: np.ndarray
     return m
 
 
-def _token_weights(
-    vocab: TokenVocab, table: PhraseTable, rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The batch's distinct token ids and its normalized token-count matrix A.
+# Batches per token layout. A layout holds 24 bytes per emitted token (id,
+# owner row, weight), and building it costs a few numpy calls, so it is built
+# for a block of batches, not per batch and not per epoch: 16 batches of 64
+# rows of 28 tokens (the long-phrase bench world) hold 0.7 MB, a whole epoch
+# of that world (9408 rows) 6.3 MB plus the temporaries that build it.
+LAYOUT_BATCHES = 16
 
-    A[i, j] counts token `ids[j]` among the `4 + |head| + |tail|` ids that
-    `encode_triple` emits for row i, divided by that length. So
-    `A @ emb[ids]` is the batch's token means, and `A.T @ dm` is the
-    gradient of those means on rows `ids` of the embedding table; no other
-    row is touched.
+
+class _TokenLayout:
+    """Every token id `encode_triple` emits for a block of rows, row after row.
+
+    Row i's ids are `emitted[indptr[i] : indptr[i + 1]]`; `owner` names each
+    id's row and `weight` is 1 / that row's length. `batch` turns a slice of
+    consecutive rows into that batch's distinct token ids and normalized
+    token-count matrix A: A[i, j] counts token `ids[j]` in row i, divided by
+    the row's length. So `A @ emb[ids]` is the batch's token means, and
+    `A.T @ dm` is the gradient of those means on rows `ids` of the embedding
+    table; no other row is touched.
     """
-    tokens, offsets, lengths = table.arrays()
-    n = len(rows)
-    heads, relations, tails = rows.T
-    phrases = np.concatenate([heads, tails])
-    counts = lengths[phrases]
-    ends = np.cumsum(counts)
-    # Index into `tokens` of every head token, then every tail token.
-    positions = np.arange(ends[-1]) + np.repeat(offsets[phrases] - (ends - counts), counts)
-    frame = np.empty((n, 4), dtype=np.int64)
-    frame[:, :3] = (vocab.START, vocab.SEP, vocab.SEP)
-    frame[:, 3] = relations
-    emitted = np.concatenate([tokens[positions], frame.ravel()])
-    owner = np.concatenate(
-        [np.repeat(np.tile(np.arange(n), 2), counts), np.repeat(np.arange(n), 4)]
-    )
-    present = np.zeros(vocab.size, dtype=bool)
-    present[emitted] = True
-    ids = np.flatnonzero(present)
-    column = np.cumsum(present) - 1  # position of each token id within `ids`
-    inv_length = 1.0 / (4 + lengths[heads] + lengths[tails])
-    cells = owner * len(ids) + column[emitted]
-    a = np.bincount(cells, weights=inv_length[owner], minlength=n * len(ids))
-    return ids, a.reshape(n, len(ids))
+
+    def __init__(self, vocab: TokenVocab, table: PhraseTable, rows: np.ndarray):
+        tokens, offsets, lengths = table.arrays()
+        heads, relations, tails = rows.T
+        head_len = lengths[heads]
+        length = 4 + head_len + lengths[tails]
+        self.vocab_size = vocab.size
+        self.indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(length, out=self.indptr[1:])
+        starts = self.indptr[:-1]
+        # encode_triple layout: [start, head tokens, sep, relation, sep, tail tokens]
+        sep = starts + 1 + head_len
+        self.emitted = np.empty(self.indptr[-1], dtype=np.int64)
+        self.emitted[starts] = vocab.START
+        self.emitted[sep] = vocab.SEP
+        self.emitted[sep + 1] = relations
+        self.emitted[sep + 2] = vocab.SEP
+        is_word = np.ones(len(self.emitted), dtype=bool)
+        is_word[np.concatenate([starts, sep, sep + 1, sep + 2])] = False
+        # Index into `tokens` of row 0's head and tail tokens, then row 1's, ...
+        phrases = np.column_stack([heads, tails]).ravel()
+        counts = lengths[phrases]
+        ends = np.cumsum(counts)
+        positions = np.arange(ends[-1]) + np.repeat(offsets[phrases] - (ends - counts), counts)
+        self.emitted[is_word] = tokens[positions]
+        self.owner = np.repeat(np.arange(len(rows)), length)
+        self.weight = np.repeat(1.0 / length, length)
+
+    def batch(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """(ids, A) of rows `start:stop` of the block."""
+        lo, hi = self.indptr[start], self.indptr[stop]
+        emitted = self.emitted[lo:hi]
+        present = np.zeros(self.vocab_size, dtype=bool)
+        present[emitted] = True
+        ids = np.flatnonzero(present)
+        column = np.cumsum(present) - 1  # position of each token id within `ids`
+        n = stop - start
+        cells = (self.owner[lo:hi] - start) * len(ids) + column[emitted]
+        a = np.bincount(cells, weights=self.weight[lo:hi], minlength=n * len(ids))
+        return ids, a.reshape(n, len(ids))
+
+
+def _token_batches(
+    vocab: TokenVocab, table: PhraseTable, rows: np.ndarray, batch_size: int
+) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """(start, stop, ids, A) of each consecutive batch of `rows`.
+
+    The token layout is built once per LAYOUT_BATCHES batches and sliced.
+    """
+    block = LAYOUT_BATCHES * batch_size
+    for block_start in range(0, len(rows), block):
+        layout = _TokenLayout(vocab, table, rows[block_start : block_start + block])
+        block_len = len(layout.indptr) - 1
+        for start in range(0, block_len, batch_size):
+            stop = min(start + batch_size, block_len)
+            yield (block_start + start, block_start + stop, *layout.batch(start, stop))
 
 
 class _BatchGrads(NamedTuple):
@@ -441,21 +486,27 @@ class _BatchGrads(NamedTuple):
 
 
 def _loss_and_gradient_batch(
-    params: ScorerParams, table: PhraseTable, rows: np.ndarray, labels: np.ndarray
+    params: ScorerParams, ids: np.ndarray, a: np.ndarray, labels: np.ndarray
 ) -> tuple[float, _BatchGrads]:
-    """Mean loss and mean gradient over a batch of triple rows."""
-    n = len(rows)
-    ids, a = _token_weights(params.vocab, table, rows)
+    """Mean loss and mean gradient over a batch, given its token layout (ids, A)."""
+    n = len(labels)
     m = a @ params.emb[ids]
     t, h = _hidden(params, m)
-    p = sigmoid(h @ params.w + params.b)
+    # The logistic in one pass. Its absolute error is about 1e-16 (it reads 0
+    # below 3e-17), which the loss clip at LOSS_EPS hides; scores, which reach
+    # far below that, keep the stable `sigmoid`.
+    p = np.tanh(0.5 * (h @ params.w + params.b))
+    p *= 0.5
+    p += 0.5
+    # Labels are 0 or 1: |(1 - label) - clip(p)| is the clipped probability
+    # of the true label, as `loss_and_gradient` takes it.
     pc = np.clip(p, LOSS_EPS, 1.0 - LOSS_EPS)
-    loss = float(-(labels * np.log(pc) + (1.0 - labels) * np.log(1.0 - pc)).mean())
+    loss = -float(np.log(np.abs((1.0 - labels) - pc)).sum()) / n
 
     dz = (p - labels) / n
     dw = h.T @ dz
     db = float(dz.sum())
-    dh = np.outer(dz, params.w)
+    dh = dz[:, None] * params.w
     da = dh * (1.0 - t * t)
     dff_w = da.T @ m
     dff_b = da.sum(axis=0)
@@ -477,17 +528,27 @@ class _Adagrad:
 
     def step(self, params: ScorerParams, g: _BatchGrads) -> None:
         # Rows outside g.emb_ids have zero gradient, so their step is zero.
-        acc_emb = self.acc_emb[g.emb_ids] + g.emb * g.emb
+        acc_emb = self.acc_emb[g.emb_ids]
+        acc_emb += g.emb * g.emb
         self.acc_emb[g.emb_ids] = acc_emb
-        self.acc_ff_w += g.ff_w * g.ff_w
-        self.acc_ff_b += g.ff_b * g.ff_b
-        self.acc_w += g.w * g.w
+        params.emb[g.emb_ids] -= self._delta(g.emb, acc_emb)
+        for param, grad, acc in (
+            (params.ff_w, g.ff_w, self.acc_ff_w),
+            (params.ff_b, g.ff_b, self.acc_ff_b),
+            (params.w, g.w, self.acc_w),
+        ):
+            acc += grad * grad
+            param -= self._delta(grad, acc)
         self.acc_b += g.b * g.b
-        params.emb[g.emb_ids] -= self.lr * g.emb / (np.sqrt(acc_emb) + ADA_EPS)
-        params.ff_w -= self.lr * g.ff_w / (np.sqrt(self.acc_ff_w) + ADA_EPS)
-        params.ff_b -= self.lr * g.ff_b / (np.sqrt(self.acc_ff_b) + ADA_EPS)
-        params.w -= self.lr * g.w / (np.sqrt(self.acc_w) + ADA_EPS)
         params.b -= self.lr * g.b / (math.sqrt(self.acc_b) + ADA_EPS)
+
+    def _delta(self, grad: np.ndarray, acc: np.ndarray) -> np.ndarray:
+        """lr * grad / (sqrt(acc) + ADA_EPS), in that order, in two new arrays."""
+        delta = self.lr * grad
+        root = np.sqrt(acc)
+        root += ADA_EPS
+        delta /= root
+        return delta
 
 
 @dataclass
@@ -527,12 +588,16 @@ def _train(
     for epoch in range(config.epochs):
         rows, labels = epoch_examples()
         perm = rng.permutation(len(rows))
+        labels = labels[perm]
         total = 0.0
-        for start in range(0, len(perm), config.batch_size):
-            sel = perm[start : start + config.batch_size]
-            loss, grads = _loss_and_gradient_batch(params, table, rows[sel], labels[sel])
-            optimizer.step(params, grads)
-            total += loss * len(sel)
+        # A diverging run fails on its epoch loss below, not on numpy warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start, stop, ids, a in _token_batches(
+                params.vocab, table, rows[perm], config.batch_size
+            ):
+                loss, grads = _loss_and_gradient_batch(params, ids, a, labels[start:stop])
+                optimizer.step(params, grads)
+                total += loss * (stop - start)
         mean_loss = total / len(rows)
         if not math.isfinite(mean_loss):
             raise ValueError(f"non-finite training loss {mean_loss} at epoch {epoch}")
@@ -542,20 +607,20 @@ def _train(
 
 def corruption_examples(
     kb: KnowledgeBase,
-    positives: list[LabeledTriple],
+    positives: np.ndarray,
     config: TrainConfig,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """One corrupted negative per positive per configured mode; skips logged.
 
-    Returns (n, 3) int64 id rows of `kb.ids`: head phrase id, relation id,
-    tail phrase id, in (positive, mode) order. A phrase or relation of a
-    positive that the KB does not store stays -1.
+    `positives` are (n, 3) id rows of `kb.ids` (`kb.ids.encode(triples)`).
+    Returns the negatives as id rows too: head phrase id, relation id, tail
+    phrase id, in (positive, mode) order. A -1 of a positive (a phrase or
+    relation the KB does not store) stays -1.
     """
-    ids = kb.ids
     columns = _mode_columns(config.modes())
-    rows = np.repeat(ids.encode(positives), len(columns), axis=0)
-    return _draw_corruptions(ids, rows, np.tile(columns, len(positives)), rng)
+    rows = np.repeat(positives, len(columns), axis=0)
+    return _draw_corruptions(kb.ids, rows, np.tile(columns, len(positives)), rng)
 
 
 def train_contrastive(
@@ -586,7 +651,7 @@ def train_contrastive(
     pos_labels = np.ones(len(positives))
 
     def epoch_examples():
-        negatives = corruption_examples(kb, positives, config, rng)
+        negatives = corruption_examples(kb, pos_ids, config, rng)
         rows = np.concatenate([pos_rows, table_rows(negatives)])
         return rows, np.concatenate([pos_labels, np.zeros(len(negatives))])
 

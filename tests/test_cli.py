@@ -1,5 +1,6 @@
 """End-to-end tests for the pipeline subcommands."""
 import contextlib
+import functools
 import io
 import os
 import subprocess
@@ -16,7 +17,7 @@ from negmine.checkpoint import load_checkpoint, save_checkpoint
 from negmine.cli import main
 from negmine.kb import save_tsv
 from negmine.scorer import TokenVocab, init_params
-from negmine.rankers import read_ranked_tsv
+from negmine.rankers import RANK_METHODS, read_ranked_tsv
 from negmine.evaluation import RANKED_SAMPLERS, SAMPLERS, read_trials_tsv
 from negmine.synthetic import SyntheticSpec, generate_kb
 
@@ -127,6 +128,26 @@ class TestExitCodes:
         assert "baseline negatives only" in capsys.readouterr().err
 
 
+class TestWarnings:
+    def test_warnings_print_as_diagnostic_lines(self, workspace, tmp_path):
+        kb = tmp_path / "kb.tsv"
+        lines = kb.read_text(encoding="utf-8").splitlines(keepends=True)
+        kb.write_text("".join(lines + lines[:1]), encoding="utf-8")
+        # thresholds loads the KB, then rejects a config without validation labels.
+        config = workspace.read_text(encoding="utf-8").replace("split=true-negatives", "split=none")
+        workspace.write_text(config, encoding="utf-8")
+        for _ in range(2):  # the handler is installed once across in-process runs
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                assert run("thresholds", "--config", str(workspace)) == 3
+            printed = err.getvalue().splitlines()
+            assert all(line.startswith("negmine: ") for line in printed), printed
+            assert printed[0] == f"negmine: warning: collapsed 1 duplicate positive lines in {kb}"
+            failures = [line for line in printed if not line.startswith("negmine: warning: ")]
+            assert len(printed) == 2 and len(failures) == 1
+            assert failures[0].startswith("negmine: invalid: thresholds needs a labeled validation split")
+
+
 class TestDryRun:
     def test_plan_without_writes(self, workspace, capsys, tmp_path):
         code = run("train", "--config", str(workspace), "--dry-run")
@@ -159,7 +180,8 @@ class TestLocking:
         out_dir.mkdir()
         (out_dir / ".lock").write_text(str(child.pid), encoding="utf-8")
         assert run("train", "--config", str(workspace)) == 0
-        capsys.readouterr()
+        err = capsys.readouterr().err
+        assert err == f"negmine: warning: reclaimed stale lockfile {out_dir / '.lock'} of exited pid {child.pid}\n"
         assert (out_dir / "scorer.ckpt").exists()
         assert not (out_dir / ".lock").exists()
 
@@ -391,8 +413,76 @@ CONFIG_VALUES = {
 }
 
 
+@functools.cache
+def fail_closed_artifacts():
+    """File name -> bytes of the stage outputs of the fail-closed world: a
+    trained checkpoint with thresholds, its candidates and two trial files;
+    plus a well-formed checkpoint whose vocabulary lacks the KB's relations."""
+    from negmine.scorer import ThresholdMap
+
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, data in FAIL_CLOSED_FILES.items():
+            (tmp / name).write_bytes(data)
+        (tmp / "run.conf").write_text(
+            f"kb={tmp / 'kb.tsv'}\noutput_dir={tmp}\nsplit=true-negatives\nhidden_dim=4\n"
+            "epochs=1\nbatch_size=16\ntrials=1\nk=3\n",
+            encoding="utf-8",
+        )
+        steps = [["train"], ["thresholds"], ["candidates"], ["evaluate"],
+                 ["evaluate", "--sampler", "negater-grad", "--ranked", str(tmp / "ranked-grad.tsv")]]
+        with contextlib.redirect_stdout(io.StringIO()):
+            for step in steps:
+                assert run(*step, "--config", str(tmp / "run.conf")) == 0, step
+        files = {
+            name: (tmp / name).read_bytes()
+            for name in ("scorer.ckpt", "candidates.tsv", "trials-uniform.tsv",
+                         "trials-negater-grad.tsv")
+        }
+        foreign = init_params(TokenVocab(["elsewhere"], ["x", "y"]), hidden_dim=4, seed=1)
+        save_checkpoint(tmp / "foreign.ckpt", foreign, ThresholdMap({"elsewhere": 0.4}, 0.5))
+        files["foreign.ckpt"] = (tmp / "foreign.ckpt").read_bytes()
+    return files
+
+
+def run_on_files(stage, files, settings_):
+    """Run `stage` on `files` written to a fresh directory, with `settings_`
+    as its config file (paths relative to that directory); (exit code, stderr)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, data in files.items():
+            (tmp / name).write_bytes(data)
+        settings_ = {key: tmp / value if isinstance(value, Path) else value
+                     for key, value in settings_.items()}
+        text = "".join(f"{key}={value}\n" for key, value in settings_.items())
+        (tmp / "run.conf").write_bytes(text.encode("utf-8", "surrogateescape"))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run(stage, "--config", str(tmp / "run.conf"))
+    return code, err.getvalue()
+
+
+FAIL_CLOSED_SETTINGS = {"split": "true-negatives", "hidden_dim": 4, "epochs": 1, "trials": 1,
+                        "batch_size": 16}
+
+
+STAGE_CONFIG_VALUES = {
+    "method": st.sampled_from(RANK_METHODS + ("magic",)),
+    "k": st.sampled_from(["0", "1", "3", "50", "x"]),
+    "n": st.sampled_from(["1", "2", "8", "10000"]),
+    "keep_fraction": st.sampled_from(["0", "0.01", "0.5", "1", "2", "nan"]),
+    "hidden_dim": st.sampled_from(["1", "2", "4", "5"]),
+    **{key: CONFIG_VALUES[key] for key in (
+        "epochs", "seed", "split", "negation_prefix", "validation_fraction", "learning_rate",
+        "batch_size", "kb_columns", "baseline")},
+    "train_negatives": SMALL_INTS,
+    "corruption_mode": st.sampled_from(["cycle", "head", "relation", "tail", "both"]),
+}
+
+
 class TestFailClosed:
-    """Corrupt inputs to `sample` and `evaluate` exit 0, 2 or 3, never 4."""
+    """Corrupt inputs to every stage exit 0, 2 or 3, never 4, and print
+    nothing on stderr but `negmine: ` lines."""
 
     @settings(max_examples=80, deadline=None,
               suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
@@ -410,26 +500,63 @@ class TestFailClosed:
     def test_corrupt_inputs_never_exit_internal(self, run_of, files, config):
         stage, sampler = run_of
         method = {"negater-theta": "theta", "negater-grad": "grad"}.get(sampler, "none")
-        with tempfile.TemporaryDirectory() as tmp:
-            tmp = Path(tmp)
-            for name, data in files.items():
-                (tmp / name).write_bytes(data)
-            settings_ = {
-                "kb": tmp / "kb.tsv",
-                "lexicon": tmp / "lexicon.tsv",
-                "ranked": tmp / f"ranked-{method}.tsv",
-                "output_dir": tmp / "out",
-                "split": "true-negatives",
-                "sampler": sampler,
-                "hidden_dim": 4,
-                "epochs": 1,
-                "trials": 1,
-                "batch_size": 16,
-            }
-            settings_.update(config)
-            text = "".join(f"{key}={value}\n" for key, value in settings_.items())
-            (tmp / "run.conf").write_bytes(text.encode("utf-8", "surrogateescape"))
-            err = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                code = run(stage, "--config", str(tmp / "run.conf"))
-        assert code in (0, 2, 3), err.getvalue()
+        code, err = run_on_files(stage, files, {
+            "kb": Path("kb.tsv"),
+            "lexicon": Path("lexicon.tsv"),
+            "ranked": Path(f"ranked-{method}.tsv"),
+            "output_dir": Path("out"),
+            "sampler": sampler,
+            **FAIL_CLOSED_SETTINGS,
+            **config,
+        })
+        assert code in (0, 2, 3), err
+        assert all(line.startswith("negmine: ") for line in err.splitlines()), err
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(
+        run_of=st.sampled_from(
+            [("train", None), ("thresholds", None), ("candidates", None), ("report", None)]
+            + [("rank", method) for method in RANK_METHODS]
+        ),
+        checkpoint=st.sampled_from(["scorer.ckpt", "foreign.ckpt"]),
+        data=st.data(),
+        config=st.dictionaries(st.sampled_from(sorted(STAGE_CONFIG_VALUES)), st.just(None),
+                               max_size=3)
+        .flatmap(lambda keys: st.fixed_dictionaries({k: STAGE_CONFIG_VALUES[k] for k in keys})),
+    )
+    def test_corrupt_stage_outputs_never_exit_internal(self, run_of, checkpoint, data, config):
+        stage, method = run_of
+        artifacts = fail_closed_artifacts()
+        inputs = {"kb.tsv": FAIL_CLOSED_FILES["kb.tsv"], "scorer.ckpt": artifacts[checkpoint]}
+        for name in ("candidates.tsv", "trials-uniform.tsv", "trials-negater-grad.tsv"):
+            inputs[name] = artifacts[name]
+        # One input corrupted per run, so that the others reach the later stages intact.
+        target = data.draw(st.sampled_from(sorted(inputs)), label="corrupted file")
+        files = dict(inputs, **{target: data.draw(corrupted(inputs[target]), label=target)})
+        # `report` reads every trial file of the output directory.
+        code, err = run_on_files(stage, files, {
+            "kb": Path("kb.tsv"),
+            "checkpoint": Path("scorer.ckpt"),
+            "candidates": Path("candidates.tsv"),
+            "output_dir": Path("."),
+            "method": method or "theta",
+            "k": 3,
+            "n": 8,
+            **FAIL_CLOSED_SETTINGS,
+            **config,
+        })
+        assert code in (0, 2, 3), err
+        assert all(line.startswith("negmine: ") for line in err.splitlines()), err
+
+    @pytest.mark.parametrize("stage", ["thresholds", "candidates", "rank"])
+    @pytest.mark.parametrize("method", RANK_METHODS)
+    def test_checkpoint_without_the_kb_relations(self, stage, method):
+        artifacts = fail_closed_artifacts()
+        files = {"kb.tsv": FAIL_CLOSED_FILES["kb.tsv"], "scorer.ckpt": artifacts["foreign.ckpt"],
+                 "candidates.tsv": artifacts["candidates.tsv"]}
+        code, err = run_on_files(stage, files, {
+            "kb": Path("kb.tsv"), "output_dir": Path("."), "method": method, "k": 3, "n": 8,
+            **FAIL_CLOSED_SETTINGS,
+        })
+        assert code == 0, err

@@ -250,10 +250,10 @@ class TestCorruptionDraws:
         pool = {"head": len(kb.phrases), "relation": len(kb.relations), "tail": len(kb.phrases)}
         if any(pool[m] < 2 for m in modes):
             with pytest.raises(ValueError, match="too small"):
-                corruption_examples(kb, list(kb.triples), config, np.random.default_rng(seed))
+                corruption_examples(kb, kb.ids.encode(kb.triples), config, np.random.default_rng(seed))
             return
         rng = RecordingRng(seed)
-        rows = corruption_examples(kb, list(kb.triples), config, rng)
+        rows = corruption_examples(kb, kb.ids.encode(kb.triples), config, rng)
         negatives = kb.ids.decode(rows)
         entries = [(p, m, uniform_pool(kb, m)) for p in kb.triples for m in modes]
         expected, collisions = replay(kb, entries, rng.calls)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from negmine.kb import HEAD, TAIL, KnowledgeBase, LabeledTriple, Phrase
 from negmine.scorer import (
     ADA_EPS,
+    LAYOUT_BATCHES,
     PhraseTable,
     ScorerParams,
     ThresholdMap,
@@ -17,6 +18,8 @@ from negmine.scorer import (
     TrainConfig,
     _Adagrad,
     _loss_and_gradient_batch,
+    _token_batches,
+    _TokenLayout,
     best_threshold,
     embed_phrase,
     encode,
@@ -390,6 +393,109 @@ def mixed_batch():
     return params, triples
 
 
+def token_weights(vocab, table, rows):
+    """The batch's distinct token ids and its normalized token-count matrix A,
+    built from scratch for one batch: the reference for `_TokenLayout`."""
+    tokens, offsets, lengths = table.arrays()
+    n = len(rows)
+    heads, relations, tails = rows.T
+    phrases = np.concatenate([heads, tails])
+    counts = lengths[phrases]
+    ends = np.cumsum(counts)
+    # Index into `tokens` of every head token, then every tail token.
+    positions = np.arange(ends[-1]) + np.repeat(offsets[phrases] - (ends - counts), counts)
+    frame = np.empty((n, 4), dtype=np.int64)
+    frame[:, :3] = (vocab.START, vocab.SEP, vocab.SEP)
+    frame[:, 3] = relations
+    emitted = np.concatenate([tokens[positions], frame.ravel()])
+    owner = np.concatenate(
+        [np.repeat(np.tile(np.arange(n), 2), counts), np.repeat(np.arange(n), 4)]
+    )
+    present = np.zeros(vocab.size, dtype=bool)
+    present[emitted] = True
+    ids = np.flatnonzero(present)
+    column = np.cumsum(present) - 1
+    inv_length = 1.0 / (4 + lengths[heads] + lengths[tails])
+    cells = owner * len(ids) + column[emitted]
+    a = np.bincount(cells, weights=inv_length[owner], minlength=n * len(ids))
+    return ids, a.reshape(n, len(ids))
+
+
+def batch_loss_and_gradient(params, triples):
+    """`_loss_and_gradient_batch` over triples taken as one batch."""
+    labels = np.array([float(x.label) for x in triples])
+    table = PhraseTable(params.vocab)
+    rows = table.encode(triples)
+    ids, a = _TokenLayout(params.vocab, table, rows).batch(0, len(rows))
+    return _loss_and_gradient_batch(params, ids, a, labels)
+
+
+LAYOUT_WORDS = ["a", "b", "c", "d"]
+
+
+@st.composite
+def layout_triples(draw):
+    """Triples of mixed phrase lengths with repeated and unknown tokens, and a
+    batch size; sometimes more rows than one layout block holds."""
+    word = st.sampled_from(LAYOUT_WORDS + ["zzz", "qqq"])
+    phrase = st.lists(word, min_size=1, max_size=5).map(" ".join)
+    triple = st.builds(t, st.sampled_from(["r", "s", "unseen"]), phrase, phrase)
+    batch_size = draw(st.integers(1, 4))
+    block = LAYOUT_BATCHES * batch_size
+    n = draw(st.integers(1, block - 1) | st.integers(block, 2 * block + batch_size))
+    # Drawing every row is slow at these lengths, so rows cycle through a short pool.
+    pool = draw(st.lists(triple, min_size=1, max_size=12))
+    return [pool[i % len(pool)] for i in range(n)], batch_size
+
+
+class TestTokenLayout:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(layout_triples())
+    def test_batches_equal_the_per_batch_reference(self, case):
+        triples, batch_size = case
+        vocab = TokenVocab(["r", "s"], LAYOUT_WORDS)
+        table = PhraseTable(vocab)
+        rows = table.encode(triples)
+        stops = []
+        for start, stop, ids, a in _token_batches(vocab, table, rows, batch_size):
+            assert start == (stops[-1] if stops else 0)
+            assert stop - start == min(batch_size, len(rows) - start)
+            stops.append(stop)
+            want_ids, want_a = token_weights(vocab, table, rows[start:stop])
+            np.testing.assert_array_equal(ids, want_ids)
+            np.testing.assert_array_equal(a, want_a)
+        assert stops[-1] == len(rows)
+
+    def test_rows_are_encode_triple(self):
+        vocab = TokenVocab(["r", "s"], LAYOUT_WORDS)
+        triples = [t("r", "a b a", "c"), t("unseen", "zzz", "d d"), t("s", "b", "qqq a b c")]
+        table = PhraseTable(vocab)
+        layout = _TokenLayout(vocab, table, table.encode(triples))
+        for i, x in enumerate(triples):
+            row = layout.emitted[layout.indptr[i] : layout.indptr[i + 1]]
+            np.testing.assert_array_equal(row, vocab.encode_triple(x))
+            np.testing.assert_array_equal(layout.owner[layout.indptr[i] : layout.indptr[i + 1]], i)
+            assert (layout.weight[layout.indptr[i] : layout.indptr[i + 1]] == 1.0 / len(row)).all()
+
+    def test_partial_batches_on_both_sides_of_a_block_boundary(self):
+        vocab = TokenVocab(["r", "s"], LAYOUT_WORDS)
+        batch_size = 3
+        block = LAYOUT_BATCHES * batch_size
+        n = block + 2 * batch_size + 1
+        triples = [t("rs"[i % 2], "a " * (1 + i % 3), "zzz b" if i % 5 else "c") for i in range(n)]
+        table = PhraseTable(vocab)
+        rows = table.encode(triples)
+        batches = list(_token_batches(vocab, table, rows, batch_size))
+        spans = [(start, stop) for start, stop, *_ in batches]
+        # The first block ends on a full batch; the last batch is partial.
+        assert (block - batch_size, block) in spans and (block, block + batch_size) in spans
+        assert spans[-1] == (n - 1, n)
+        for start, stop, ids, a in batches:
+            want_ids, want_a = token_weights(vocab, table, rows[start:stop])
+            np.testing.assert_array_equal(ids, want_ids)
+            np.testing.assert_array_equal(a, want_a)
+
+
 class TestBatchPaths:
     def test_phrase_table_encodes_each_phrase_once(self):
         vocab = TokenVocab(["r"], ["a", "b"])
@@ -408,9 +514,7 @@ class TestBatchPaths:
 
     def test_batch_gradient_is_mean_of_oracle(self):
         params, triples = mixed_batch()
-        labels = np.array([float(x.label) for x in triples])
-        table = PhraseTable(params.vocab)
-        loss, grads = _loss_and_gradient_batch(params, table, table.encode(triples), labels)
+        loss, grads = batch_loss_and_gradient(params, triples)
         oracle = [loss_and_gradient(params, x, x.label) for x in triples]
         assert loss == pytest.approx(np.mean([l for l, _ in oracle]), rel=1e-10)
         expected = np.mean([dense_gradient(params, g) for _, g in oracle], axis=0)
@@ -421,12 +525,28 @@ class TestBatchPaths:
         )
         np.testing.assert_allclose(got, expected, rtol=1e-10)
 
+    @pytest.mark.parametrize("bias", [-35.0, 35.0])
+    def test_saturated_batch_loss_is_mean_of_oracle(self, bias):
+        params, triples = mixed_batch()
+        params.w *= 0.5
+        params.b = bias
+        logits = np.array([params.w @ encode(params, x) + params.b for x in triples])
+        assert (30 <= np.abs(logits)).all() and (np.abs(logits) <= 40).all()
+        assert {x.label for x in triples} == {0, 1}
+        loss, grads = batch_loss_and_gradient(params, triples)
+        oracle = [loss_and_gradient(params, x, x.label) for x in triples]
+        assert abs(loss - np.mean([l for l, _ in oracle])) <= 1e-12
+        expected = np.mean([dense_gradient(params, g) for _, g in oracle], axis=0)
+        demb = np.zeros_like(params.emb)
+        demb[grads.emb_ids] = grads.emb
+        got = np.concatenate(
+            [demb.ravel(), grads.ff_w.ravel(), grads.ff_b.ravel(), grads.w.ravel(), [grads.b]]
+        )
+        np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-14)
 
     def test_adagrad_steps_only_touched_rows_as_a_dense_step_would(self):
         params, triples = mixed_batch()
-        labels = np.array([float(x.label) for x in triples])
-        table = PhraseTable(params.vocab)
-        _, grads = _loss_and_gradient_batch(params, table, table.encode(triples), labels)
+        _, grads = batch_loss_and_gradient(params, triples)
         demb = np.zeros_like(params.emb)
         demb[grads.emb_ids] = grads.emb
         expected = params.emb - 0.1 * demb / (np.sqrt(demb * demb) + ADA_EPS)
@@ -453,7 +573,7 @@ class TestTraining:
         from negmine.scorer import corruption_examples
 
         rng = np.random.default_rng(999)
-        negatives = kb.ids.decode(corruption_examples(kb, list(kb.triples), config, rng))
+        negatives = kb.ids.decode(corruption_examples(kb, kb.ids.encode(kb.triples), config, rng))
         examples = list(kb.triples) + negatives
         labels = np.array([x.label for x in examples])
         preds = (score_batch(params, examples) > 0.5).astype(int)
@@ -607,7 +727,7 @@ class TestThresholds:
         from negmine.scorer import corruption_examples
 
         rng = np.random.default_rng(123)
-        negatives = kb.ids.decode(corruption_examples(kb, list(kb.triples), config, rng))
+        negatives = kb.ids.decode(corruption_examples(kb, kb.ids.encode(kb.triples), config, rng))
         validation = list(kb.triples) + negatives
         thresholds = fit_thresholds(params, validation)
         correct = [
