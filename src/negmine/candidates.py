@@ -123,16 +123,13 @@ class ValidationReport:
 
 
 def validate_candidates(
-    kb: KnowledgeBase, candidates: list[Candidate], k: int | None = None
+    kb: KnowledgeBase, candidates: list[Candidate], k: int
 ) -> ValidationReport:
     """Independent recheck of every generation invariant.
 
-    `k` bounds per-positive emission at 2k; when omitted, it is inferred as
-    the largest neighbor_rank present.
+    `k` bounds per-positive emission at 2k.
     """
     report = ValidationReport()
-    if k is None:
-        k = max((c.neighbor_rank for c in candidates), default=0)
     per_positive: dict[tuple, int] = {}
     seen: set[tuple] = set()
     for c in candidates:

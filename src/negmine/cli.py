@@ -202,23 +202,25 @@ def cmd_rank(config: PipelineConfig, dry_run: bool) -> None:
     if dry_run:
         print(f"plan: rank {candidates_path} by method={config.method}; would write {out}")
         return
-    candidates = read_candidates_tsv(candidates_path)
-    if config.method == "theta":
-        ranked = rank_theta(
-            params, thresholds, candidates, config.keep_fraction, seed=config.seed
-        )
-    elif config.method == "grad":
-        ranked = rank_grad(params, candidates)
-    elif config.method == "grad-fast":
-        n = min(config.n, len(candidates))
-        if n < config.n:
-            print(f"note: predictor sample clamped to {n} (candidate count)")
-        rng = np.random.default_rng([config.seed, 40])
-        predictor = fit_gradient_predictor(params, candidates, n, rng)
-        ranked = rank_grad_fast(params, predictor, candidates)
-    else:
-        ranked = rank_none(candidates, seed=config.seed)
-    write_ranked_tsv(ranked, config.method, out)
+    candidates = [c.triple for c in read_candidates_tsv(candidates_path)]
+    # Overflowing weights fail as non-finite keys, not as numpy warnings.
+    with np.errstate(all="ignore"):
+        if config.method == "theta":
+            ranked = rank_theta(
+                params, thresholds, candidates, config.keep_fraction, seed=config.seed
+            )
+        elif config.method == "grad":
+            ranked = rank_grad(params, candidates)
+        elif config.method == "grad-fast":
+            n = min(config.n, len(candidates))
+            if n < config.n:
+                print(f"note: predictor sample clamped to {n} (candidate count)")
+            rng = np.random.default_rng([config.seed, 40])
+            predictor = fit_gradient_predictor(params, candidates, n, rng)
+            ranked = rank_grad_fast(params, predictor, candidates)
+        else:
+            ranked = rank_none(candidates, seed=config.seed)
+    write_ranked_tsv(ranked, out)
     _wrote(out)
 
 

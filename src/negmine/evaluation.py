@@ -18,7 +18,7 @@ import numpy as np
 
 from .ioutil import atomic_write_text, derive_seed, format_float, read_lines
 from .kb import KnowledgeBase, LabeledTriple
-from .rankers import RankedCandidate, RankedRow
+from .rankers import RankedRow
 from .samplers import (
     AntonymLexicon,
     EntityGraph,
@@ -260,7 +260,7 @@ class ExperimentConfig:
     seed: int = 0
     hops: int = 2
     lexicon: AntonymLexicon | None = None
-    ranked: Sequence[RankedRow] | Sequence[RankedCandidate] | None = None
+    ranked: Sequence[RankedRow] | None = None
     baseline: str = "uniform"
 
     def __post_init__(self):
@@ -282,14 +282,6 @@ class ExperimentConfig:
             raise ValueError("the antonyms sampler needs a lexicon")
         if self.sampler in RANKED_SAMPLERS and not self.ranked:
             raise ValueError(f"the {self.sampler} sampler needs a ranked negative list")
-
-
-def _ranked_triples(ranked) -> list[LabeledTriple]:
-    out = []
-    for row in ranked:
-        triple = row.candidate.triple if isinstance(row, RankedCandidate) else row.triple
-        out.append(triple if triple.label == 0 else replace(triple, label=0))
-    return out
 
 
 def assign_ranked(
@@ -347,7 +339,7 @@ def _draw_negatives(
     train = kb.splits.train
     if config.sampler in RANKED_SAMPLERS:
         return assign_ranked(
-            train, _ranked_triples(config.ranked), config.negatives_per_positive
+            train, [row.triple for row in config.ranked], config.negatives_per_positive
         )
     # Salt 50: a stream no other draw of the trial uses. Every sampler draws
     # from it alone, positives in order.

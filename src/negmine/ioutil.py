@@ -112,8 +112,8 @@ class DirectoryLock:
     content that is not a positive integer, keeps the directory locked.
     """
 
-    def __init__(self, directory: str | Path, name: str = ".lock"):
-        self.path = Path(directory) / name
+    def __init__(self, directory: str | Path):
+        self.path = Path(directory) / ".lock"
         self._fd: int | None = None
 
     def __enter__(self) -> "DirectoryLock":

@@ -1,10 +1,13 @@
 """Rank candidate negatives by contradiction strength.
 
-Two primary keys: classification score among the below-threshold pool
-("almost positive" first), and the L2 magnitude of the loss gradient under a
-forced positive label (larger means the statement fights the trained beliefs
-harder). The gradient key also has a regression fast path that predicts
-magnitudes from pooled vectors, skipping every backward pass.
+Every ranker takes the candidates' triples and returns `RankedRow`s, the
+rows that `write_ranked_tsv` writes and `read_ranked_tsv` reads back. Four
+methods: `theta`, the classification score among the below-threshold pool
+("almost positive" first); `grad`, the L2 magnitude of the loss gradient
+under a forced positive label (larger means the statement fights the trained
+beliefs harder); `grad-fast`, a regression that predicts those magnitudes
+from pooled vectors, skipping every backward pass; and `none`, a seeded
+shuffle, the no-ranking ablation.
 """
 from __future__ import annotations
 
@@ -14,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .candidates import Candidate
 from .ioutil import ParseError, atomic_write_text, format_float, read_lines
 from .kb import LabeledTriple, Phrase, intern_phrase
 from .scorer import (
@@ -29,45 +31,54 @@ RANK_METHODS = ("theta", "grad", "grad-fast", "none")
 
 
 @dataclass(frozen=True)
-class RankedCandidate:
-    """A candidate with its ranking key and pre-shuffle rank position.
+class RankedRow:
+    """One ranked negative: a line of a ranked file.
 
-    Ranks are a permutation of 1..n. For shuffled outputs the list order is
-    the shuffled order while `rank` preserves the pre-shuffle position, so
-    sorting by `rank` recovers the key-descending order within each pool.
+    The ranks of a list are a permutation of 1..n. A shuffled list keeps each
+    row's pre-shuffle position in `rank`, so sorting by `rank` recovers the
+    key-descending order within each pool.
     """
 
-    candidate: Candidate
-    key: float
     rank: int
+    triple: LabeledTriple
+    key: float
+    method: str
+
+    def __post_init__(self):
+        if self.method not in RANK_METHODS:
+            raise ValueError(f"unknown ranking method {self.method!r}")
+        if self.triple.label != 0:
+            raise ValueError(f"ranked triples are negatives, got label {self.triple.label}")
+        if not math.isfinite(self.key):
+            raise ValueError(f"non-finite ranking key {self.key!r} at rank {self.rank}")
 
 
 def rank_theta(
     params: ScorerParams,
     thresholds: ThresholdMap,
-    candidates: list[Candidate],
+    candidates: list[LabeledTriple],
     keep_fraction: float = 0.5,
     *,
     seed: int = 0,
-    shuffle: bool = True,
-) -> list[RankedCandidate]:
+) -> list[RankedRow]:
     """Keep below-threshold candidates, best-scoring first, per relation.
 
     Per relation: candidates with score <= theta_r are sorted descending by
     score (ties by emission order) and truncated to ceil(keep_fraction x pool
     size). Pools are concatenated in sorted relation order, ranks assigned,
-    then the list order is shuffled by a seeded permutation unless `shuffle`
-    is off.
+    then the list order is shuffled by a seeded permutation.
     """
     if not 0.0 < keep_fraction <= 1.0:
         raise ValueError(f"keep_fraction must be in (0, 1], got {keep_fraction}")
     if not candidates:
         return []
-    scores = score_batch(params, [c.triple for c in candidates])
+    scores = score_batch(params, candidates)
+    if not np.isfinite(scores).all():
+        raise ValueError("non-finite classification score among the candidates")
     by_relation: dict[str, list[int]] = {}
-    for i, c in enumerate(candidates):
-        by_relation.setdefault(c.triple.relation, []).append(i)
-    ordered: list[RankedCandidate] = []
+    for i, triple in enumerate(candidates):
+        by_relation.setdefault(triple.relation, []).append(i)
+    ordered: list[RankedRow] = []
     for relation in sorted(by_relation):
         theta = thresholds.threshold_for(relation)
         pool = [i for i in by_relation[relation] if scores[i] <= theta]
@@ -76,50 +87,41 @@ def rank_theta(
         kept = pool[: math.ceil(keep_fraction * len(pool))]
         base = len(ordered)
         ordered.extend(
-            RankedCandidate(candidates[i], float(scores[i]), base + j + 1)
+            RankedRow(base + j + 1, candidates[i], float(scores[i]), "theta")
             for j, i in enumerate(kept)
         )
-    if not shuffle:
-        return ordered
     perm = np.random.default_rng([seed, 10]).permutation(len(ordered))
     return [ordered[i] for i in perm]
 
 
-def gradient_magnitude(params: ScorerParams, candidate: Candidate | LabeledTriple) -> float:
+def gradient_magnitude(params: ScorerParams, triple: LabeledTriple) -> float:
     """L2 norm of the full parameter gradient at a forced positive label."""
-    triple = candidate.triple if isinstance(candidate, Candidate) else candidate
     _, grad = loss_and_gradient(params, triple, 1)
     return grad.norm()
 
 
 def _rank_descending(
-    candidates: list[Candidate], keys: np.ndarray
-) -> list[RankedCandidate]:
+    candidates: list[LabeledTriple], keys: np.ndarray, method: str
+) -> list[RankedRow]:
     """Descending stable sort; emission order breaks ties; ranks 1..n."""
     order = np.argsort(-keys, kind="stable")
     return [
-        RankedCandidate(candidates[int(i)], float(keys[int(i)]), rank)
+        RankedRow(rank, candidates[int(i)], float(keys[int(i)]), method)
         for rank, i in enumerate(order, start=1)
     ]
 
 
-def rank_grad(params: ScorerParams, candidates: list[Candidate]) -> list[RankedCandidate]:
+def rank_grad(params: ScorerParams, candidates: list[LabeledTriple]) -> list[RankedRow]:
     """Descending exact gradient magnitude; one backward pass per candidate."""
-    if not candidates:
-        return []
-    keys = np.fromiter(
-        (gradient_magnitude(params, c) for c in candidates),
-        dtype=np.float64,
-        count=len(candidates),
-    )
-    return _rank_descending(candidates, keys)
+    keys = np.array([gradient_magnitude(params, triple) for triple in candidates])
+    return _rank_descending(candidates, keys, "grad")
 
 
-def rank_none(candidates: list[Candidate], *, seed: int = 0) -> list[RankedCandidate]:
+def rank_none(candidates: list[LabeledTriple], *, seed: int = 0) -> list[RankedRow]:
     """No-ranking ablation: a seeded shuffle with constant keys."""
     perm = np.random.default_rng([seed, 11]).permutation(len(candidates))
     return [
-        RankedCandidate(candidates[int(i)], 0.0, rank) for rank, i in enumerate(perm, start=1)
+        RankedRow(rank, candidates[int(i)], 0.0, "none") for rank, i in enumerate(perm, start=1)
     ]
 
 
@@ -247,7 +249,7 @@ def fit_mae_regressor(
 
 def fit_gradient_predictor(
     params: ScorerParams,
-    candidates: list[Candidate],
+    candidates: list[LabeledTriple],
     n: int,
     rng: np.random.Generator,
     *,
@@ -265,20 +267,18 @@ def fit_gradient_predictor(
     if n > len(candidates):
         raise ValueError(f"n={n} exceeds candidate count {len(candidates)}")
     chosen = [candidates[int(i)] for i in rng.choice(len(candidates), size=n, replace=False)]
-    features = encode_batch(params, [c.triple for c in chosen])
-    targets = np.fromiter(
-        (gradient_magnitude(params, c) for c in chosen),
-        dtype=np.float64,
-        count=n,
-    )
+    features = encode_batch(params, chosen)
+    targets = np.array([gradient_magnitude(params, triple) for triple in chosen])
+    if not np.isfinite(targets).all():
+        raise ValueError("non-finite gradient magnitude among the predictor's training targets")
     return fit_mae_regressor(
         features, targets, rng, epochs=epochs, learning_rate=learning_rate, batch_size=batch_size
     )
 
 
 def rank_grad_fast(
-    params: ScorerParams, predictor: GradientPredictor, candidates: list[Candidate]
-) -> list[RankedCandidate]:
+    params: ScorerParams, predictor: GradientPredictor, candidates: list[LabeledTriple]
+) -> list[RankedRow]:
     """Descending predicted gradient magnitude; forward passes only."""
     if predictor.input_dim != params.hidden_dim:
         raise ValueError(
@@ -287,8 +287,8 @@ def rank_grad_fast(
         )
     if not candidates:
         return []
-    keys = predictor.predict(encode_batch(params, [c.triple for c in candidates]))
-    return _rank_descending(candidates, keys)
+    keys = predictor.predict(encode_batch(params, candidates))
+    return _rank_descending(candidates, keys, "grad-fast")
 
 
 def pearson(xs, ys) -> float:
@@ -308,28 +308,14 @@ def pearson(xs, ys) -> float:
     return float(xd @ yd) / math.sqrt(vx * vy)
 
 
-def write_ranked_tsv(ranked: list[RankedCandidate], method: str, path: str | Path) -> None:
+def write_ranked_tsv(rows: list[RankedRow], path: str | Path) -> None:
     """Rows in list order: `rank relation head tail key method` (tab-separated)."""
-    if method not in RANK_METHODS:
-        raise ValueError(f"method must be one of {RANK_METHODS}, got {method!r}")
-    lines = []
-    for rc in ranked:
-        triple = rc.candidate.triple
-        lines.append(
-            "\t".join(
-                [str(rc.rank), triple.relation, triple.head.text, triple.tail.text,
-                 format_float(rc.key), method]
-            )
-        )
+    lines = [
+        "\t".join([str(row.rank), row.triple.relation, row.triple.head.text,
+                   row.triple.tail.text, format_float(row.key), row.method])
+        for row in rows
+    ]
     atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-@dataclass(frozen=True)
-class RankedRow:
-    rank: int
-    triple: LabeledTriple
-    key: float
-    method: str
 
 
 def read_ranked_tsv(path: str | Path) -> list[RankedRow]:
@@ -340,8 +326,6 @@ def read_ranked_tsv(path: str | Path) -> list[RankedRow]:
 
     def parse(fields: list[str]) -> RankedRow:
         rank_text, relation, head, tail, key_text, method = fields
-        if method not in RANK_METHODS:
-            raise ValueError(f"unknown ranking method {method!r}")
         row = RankedRow(
             int(rank_text),
             LabeledTriple(intern_phrase(phrases, head), relation, intern_phrase(phrases, tail), 0),

@@ -563,6 +563,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be a finite number > 0, got {self.learning_rate}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.negatives_per_positive < 1:
             raise ValueError("negatives-per-positive must be >= 1")
         if self.corruption_mode not in CORRUPTION_MODES + ("cycle",):

@@ -175,7 +175,7 @@ def test_criterion_4_threshold_optimality(capsys):
 
 @pytest.fixture(scope="module")
 def predictor_world():
-    """Scorer trained on a long-phrase corpus plus its 2,000-candidate pool."""
+    """Scorer trained on a long-phrase corpus plus its 2,000 candidate triples."""
     spec = SyntheticSpec(phrase_tokens=12, seed=0)
     kb = generate_kb(spec)
     params = init_params(TokenVocab.from_kb(kb), hidden_dim=64, seed=11)
@@ -185,7 +185,7 @@ def predictor_world():
     index = build_index(list(kb.phrases), lambda p: embed_phrase(params, p))
     candidates = generate_candidates(kb, index, k=14)
     assert len(candidates) >= 2000
-    return params, candidates[:2000]
+    return params, [c.triple for c in candidates[:2000]]
 
 
 def test_criterion_5_gradient_predictor_fidelity(capsys, predictor_world):
@@ -205,16 +205,14 @@ def test_criterion_5_gradient_predictor_fidelity(capsys, predictor_world):
         )
         fast = rank_grad_fast(params, predictor, candidates)
         t_fast = min(t_fast, time.perf_counter() - start)
-    true_key = {r.candidate.triple: r.key for r in full}
-    fast_key = {r.candidate.triple: r.key for r in fast}
-    rho = pearson(
-        [true_key[c.triple] for c in candidates], [fast_key[c.triple] for c in candidates]
-    )
-    full_position = {r.candidate.triple: i for i, r in enumerate(full)}
-    fast_position = {r.candidate.triple: i for i, r in enumerate(fast)}
+    true_key = {r.triple: r.key for r in full}
+    fast_key = {r.triple: r.key for r in fast}
+    rho = pearson([true_key[c] for c in candidates], [fast_key[c] for c in candidates])
+    full_position = {r.triple: i for i, r in enumerate(full)}
+    fast_position = {r.triple: i for i, r in enumerate(fast)}
     spear = pearson(
-        [float(full_position[c.triple]) for c in candidates],
-        [float(fast_position[c.triple]) for c in candidates],
+        [float(full_position[c]) for c in candidates],
+        [float(fast_position[c]) for c in candidates],
     )
     ratio = t_full / t_fast
     ok = rho >= 0.9 and spear >= 0.9 and ratio >= 3.0
@@ -239,7 +237,7 @@ def planted_world():
     )
     thresholds = fit_thresholds(params, kb.splits.validation)
     index = build_index(list(kb.phrases), lambda p: embed_phrase(params, p))
-    candidates = generate_candidates(kb, index, k=14)
+    candidates = [c.triple for c in generate_candidates(kb, index, k=14)]
     ranked = {
         "negater-theta": rank_theta(params, thresholds, candidates, keep_fraction=1.0, seed=0),
         "negater-grad": rank_grad(params, candidates),

@@ -13,6 +13,7 @@ from conftest import rewrite_checkpoint_header
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import negmine
 from negmine.checkpoint import load_checkpoint, save_checkpoint
 from negmine.cli import main
 from negmine.kb import save_tsv
@@ -121,6 +122,37 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 3
         assert err.startswith("negmine: invalid:") and "non-finite" in err
+
+    @pytest.mark.parametrize("method", ["theta", "grad", "grad-fast"])
+    def test_overflowing_checkpoint_writes_no_ranked_file(self, workspace, tmp_path, method):
+        # Finite weights whose forward and backward passes overflow to nan.
+        for stage in ("train", "thresholds", "candidates"):
+            assert run(stage, "--config", str(workspace)) == 0
+        path = tmp_path / "out" / "scorer.ckpt"
+        params, thresholds = load_checkpoint(path)
+        for array in (params.emb, params.ff_w, params.w):
+            array *= 1e160
+        assert params.all_finite()
+        save_checkpoint(path, params, thresholds)
+        # A child process, so that numpy's warnings would reach its stderr.
+        src = Path(negmine.__file__).parents[1]
+        child = subprocess.run(
+            [sys.executable, "-m", "negmine.cli", "rank", "--config", str(workspace),
+             "--method", method],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        lines = child.stderr.splitlines()
+        assert child.returncode == 3, child.stderr
+        assert lines and all(line.startswith("negmine: invalid: ") for line in lines), lines
+        assert "non-finite" in lines[0]
+        assert not (tmp_path / "out" / "ranked.tsv").exists()
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
+    def test_learning_rate_checked_before_the_kb_loads(self, tmp_path, capsys, value):
+        code = run("train", "--kb", str(tmp_path / "absent.tsv"), "--learning-rate", value)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("negmine: invalid: learning_rate must be a finite number > 0")
 
     def test_sample_rejects_ranked_sampler(self, workspace, capsys):
         code = run("sample", "--config", str(workspace), "--sampler", "negater-theta")

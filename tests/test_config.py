@@ -106,6 +106,9 @@ class TestValidation:
             {"negation_prefix": ""},
             {"validation_fraction": 1.1},
             {"kb_columns": "rh"},
+            {"learning_rate": float("nan")},
+            {"learning_rate": float("inf")},
+            {"learning_rate": -1.0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from conftest import dense_gradient, fd_gradient, make_triple as t, spearman
 
-from negmine.candidates import Candidate
-from negmine.kb import HEAD, KnowledgeBase, LabeledTriple, Phrase
+from negmine.ioutil import ParseError
 from negmine.rankers import (
+    RANK_METHODS,
     GradientPredictor,
-    RankedCandidate,
+    RankedRow,
     fit_gradient_predictor,
     fit_mae_regressor,
     gradient_magnitude,
@@ -28,16 +28,12 @@ from negmine.scorer import (
     encode_batch,
     init_params,
     score,
+    score_batch,
 )
 
 
-def cand(triple, source=None, slot=HEAD, rank=1):
-    source = source or t(triple.relation, "src", triple.tail.text)
-    return Candidate(triple, source, slot, rank)
-
-
 def controlled_setup(score_logits, relation="R"):
-    """One single-token candidate per requested logit, scored exactly sigmoid(x).
+    """One single-token candidate triple per logit, scored exactly sigmoid(x).
 
     Sequence [start, h_i, sep, R, sep, x] has all rows zero except h_i, whose
     first coordinate is 6 * logit, so the pooled mean has first coordinate
@@ -54,8 +50,12 @@ def controlled_setup(score_logits, relation="R"):
     candidates = []
     for i, logit in enumerate(score_logits):
         params.emb[vocab.word_ids[f"h{i}"], 0] = 6.0 * logit
-        candidates.append(cand(t(relation, f"h{i}", "x", 0)))
+        candidates.append(t(relation, f"h{i}", "x", 0))
     return params, candidates
+
+
+def by_rank(rows):
+    return sorted(rows, key=lambda row: row.rank)
 
 
 def logit(p):
@@ -79,7 +79,7 @@ def random_setup(n=30, seed=0, hidden_dim=4):
         if head == tail or key in seen:
             continue
         seen.add(key)
-        candidates.append(cand(t(rel, head, tail, 0)))
+        candidates.append(t(rel, head, tail, 0))
     return params, candidates
 
 
@@ -94,16 +94,14 @@ class TestRankTheta:
         out = rank_theta(params, thresholds, candidates, keep_fraction=0.5)
         # Below-threshold pool is {0.6, 0.2}; ceil(0.5 x 2) = 1 kept, best first.
         assert len(out) == 1
-        assert out[0].candidate == candidates[1]
+        assert out[0].triple == candidates[1]
         assert out[0].key == pytest.approx(0.6, rel=1e-9)
         assert out[0].rank == 1
 
     def test_no_filter_keep_all_sorted(self):
         params, candidates = controlled_setup([logit(0.3), logit(0.8), logit(0.5)])
-        out = rank_theta(
-            params, ThresholdMap({"R": 1.0}), candidates, keep_fraction=1.0, shuffle=False
-        )
-        assert [rc.candidate for rc in out] == [candidates[1], candidates[2], candidates[0]]
+        out = by_rank(rank_theta(params, ThresholdMap({"R": 1.0}), candidates, keep_fraction=1.0))
+        assert [rc.triple for rc in out] == [candidates[1], candidates[2], candidates[0]]
         assert [rc.rank for rc in out] == [1, 2, 3]
         keys = [rc.key for rc in out]
         assert keys == sorted(keys, reverse=True)
@@ -112,8 +110,8 @@ class TestRankTheta:
         params, candidates = random_setup(n=40, seed=3)
         thresholds = ThresholdMap({"R": 0.55, "S": 0.5}, fallback=0.5)
         for rc in rank_theta(params, thresholds, candidates, keep_fraction=1.0):
-            assert rc.key <= thresholds.threshold_for(rc.candidate.triple.relation)
-            assert rc.key == pytest.approx(score(params, rc.candidate.triple), rel=1e-12)
+            assert rc.key <= thresholds.threshold_for(rc.triple.relation)
+            assert rc.key == pytest.approx(score(params, rc.triple), rel=1e-12)
 
     def test_ranks_are_permutation_and_keys_sorted_within_pool(self):
         params, candidates = random_setup(n=50, seed=4)
@@ -121,7 +119,7 @@ class TestRankTheta:
         assert sorted(rc.rank for rc in out) == list(range(1, len(out) + 1))
         by_rel: dict = {}
         for rc in out:
-            by_rel.setdefault(rc.candidate.triple.relation, []).append(rc)
+            by_rel.setdefault(rc.triple.relation, []).append(rc)
         for pool in by_rel.values():
             pool.sort(key=lambda rc: rc.rank)
             keys = [rc.key for rc in pool]
@@ -134,15 +132,24 @@ class TestRankTheta:
         b = rank_theta(params, thresholds, candidates, seed=1)
         c = rank_theta(params, thresholds, candidates, seed=2)
         assert a == b
-        assert {rc.candidate for rc in a} == {rc.candidate for rc in c}
-        assert [rc.candidate for rc in a] != [rc.candidate for rc in c]
-        unshuffled = rank_theta(params, thresholds, candidates, shuffle=False)
-        assert sorted(a, key=lambda rc: rc.rank) == unshuffled
+        assert {rc.triple for rc in a} == {rc.triple for rc in c}
+        assert [rc.triple for rc in a] != [rc.triple for rc in c]
+        # Sorted by rank: relations in sorted order, each pool's kept half
+        # by descending score, whatever the seed.
+        scores = score_batch(params, candidates)
+        expected = []
+        for relation in sorted({c.relation for c in candidates}):
+            pool = [i for i, c in enumerate(candidates) if c.relation == relation]
+            pool.sort(key=lambda i: -scores[i])
+            expected += pool[: math.ceil(0.5 * len(pool))]
+        assert [rc.triple for rc in by_rank(a)] == [candidates[i] for i in expected]
+        assert [rc.rank for rc in by_rank(a)] == list(range(1, len(a) + 1))
+        assert by_rank(a) == by_rank(c)
 
     def test_score_ties_break_by_emission_order(self):
         params, candidates = controlled_setup([logit(0.4), logit(0.4), logit(0.4)])
-        out = rank_theta(params, ThresholdMap({"R": 0.9}), candidates, keep_fraction=1.0, shuffle=False)
-        assert [rc.candidate for rc in out] == candidates
+        out = by_rank(rank_theta(params, ThresholdMap({"R": 0.9}), candidates, keep_fraction=1.0))
+        assert [rc.triple for rc in out] == candidates
 
     def test_keep_fraction_validated(self):
         params, candidates = controlled_setup([logit(0.4)])
@@ -164,13 +171,8 @@ class TestGradientMagnitude:
         params, candidates = random_setup(n=6, seed=9, hidden_dim=4)
         for c in candidates[:4]:
             analytic = gradient_magnitude(params, c)
-            numeric = float(np.linalg.norm(fd_gradient(params, c.triple, 1)))
+            numeric = float(np.linalg.norm(fd_gradient(params, c, 1)))
             assert analytic == pytest.approx(numeric, rel=1e-3)
-
-    def test_accepts_bare_triples(self):
-        params, candidates = random_setup(n=2, seed=10)
-        c = candidates[0]
-        assert gradient_magnitude(params, c) == gradient_magnitude(params, c.triple)
 
 
 class TestRankGrad:
@@ -184,7 +186,7 @@ class TestRankGrad:
         out = rank_grad(params, candidates)
         keys = np.array([gradient_magnitude(params, c) for c in candidates])
         expected = np.argsort(-keys, kind="stable")
-        assert [rc.candidate for rc in out] == [candidates[int(i)] for i in expected]
+        assert [rc.triple for rc in out] == [candidates[int(i)] for i in expected]
         assert [rc.rank for rc in out] == list(range(1, len(candidates) + 1))
         out_keys = [rc.key for rc in out]
         assert out_keys == sorted(out_keys, reverse=True)
@@ -194,8 +196,8 @@ class TestRankGrad:
         keys = [gradient_magnitude(params, c) for c in candidates]
         assert len(set(keys)) == len(keys), "setup assumes distinct keys"
         shuffled = [candidates[i] for i in np.random.default_rng(0).permutation(len(candidates))]
-        a = [rc.candidate for rc in rank_grad(params, candidates)]
-        b = [rc.candidate for rc in rank_grad(params, shuffled)]
+        a = [rc.triple for rc in rank_grad(params, candidates)]
+        b = [rc.triple for rc in rank_grad(params, shuffled)]
         assert a == b
 
     def test_counts_backward_passes(self):
@@ -235,7 +237,7 @@ class TestPredictor:
         model = fit_gradient_predictor(params, candidates, 150, rng)
         assert model.n_train == 150
         true = [gradient_magnitude(params, c) for c in candidates]
-        predicted = model.predict(encode_batch(params, [c.triple for c in candidates]))
+        predicted = model.predict(encode_batch(params, candidates))
         assert pearson(true, predicted) > 0.7
 
     def test_diagnostics_populated(self):
@@ -250,14 +252,13 @@ class TestEncodeCandidates:
         vocab = TokenVocab(["R", "S"], ["a", "b", "c"])
         params = init_params(vocab, hidden_dim=6, seed=21)
         params.ff_b[:] = np.random.default_rng(22).normal(size=6)
-        candidates = [
-            cand(t("R", "a b c", "b", 0)),  # multi-token head
-            cand(t("S", "a a", "c a b a", 0)),  # repeated tokens
-            cand(t("R", "zzz", "a qqq", 0)),  # out-of-vocabulary words
-            cand(t("T", "b", "c", 0)),  # out-of-vocabulary relation
+        triples = [
+            t("R", "a b c", "b", 0),  # multi-token head
+            t("S", "a a", "c a b a", 0),  # repeated tokens
+            t("R", "zzz", "a qqq", 0),  # out-of-vocabulary words
+            t("T", "b", "c", 0),  # out-of-vocabulary relation
         ]
-        expected = np.stack([encode(params, c.triple) for c in candidates])
-        triples = [c.triple for c in candidates]
+        expected = np.stack([encode(params, triple) for triple in triples])
         np.testing.assert_allclose(encode_batch(params, triples), expected, rtol=1e-12)
 
 
@@ -285,15 +286,15 @@ class TestRankGradFast:
 
         out_fast = rank_grad_fast(params, Exact(params.hidden_dim), candidates)
         out_full = rank_grad(params, candidates)
-        assert [rc.candidate for rc in out_fast] == [rc.candidate for rc in out_full]
+        assert [rc.triple for rc in out_fast] == [rc.triple for rc in out_full]
 
     def test_trained_predictor_rank_agreement(self):
         params, candidates = random_setup(n=150, seed=22)
         model = fit_gradient_predictor(params, candidates, 120, np.random.default_rng(8))
         full = rank_grad(params, candidates)
         fast = rank_grad_fast(params, model, candidates)
-        pos_full = {rc.candidate: rc.rank for rc in full}
-        pos_fast = {rc.candidate: rc.rank for rc in fast}
+        pos_full = {rc.triple: rc.rank for rc in full}
+        pos_fast = {rc.triple: rc.rank for rc in fast}
         rho = spearman(
             [pos_full[c] for c in candidates], [pos_fast[c] for c in candidates]
         )
@@ -306,13 +307,13 @@ class TestRankNone:
         out = rank_none(candidates, seed=1)
         assert sorted(rc.rank for rc in out) == list(range(1, 13))
         assert all(rc.key == 0.0 for rc in out)
-        assert {rc.candidate for rc in out} == set(candidates)
+        assert {rc.triple for rc in out} == set(candidates)
 
     def test_seeded(self):
         _, candidates = random_setup(n=12, seed=24)
         assert rank_none(candidates, seed=3) == rank_none(candidates, seed=3)
-        assert [rc.candidate for rc in rank_none(candidates, seed=3)] != [
-            rc.candidate for rc in rank_none(candidates, seed=4)
+        assert [rc.triple for rc in rank_none(candidates, seed=3)] != [
+            rc.triple for rc in rank_none(candidates, seed=4)
         ]
 
 
@@ -339,38 +340,59 @@ class TestPearson:
             pearson([1], [2])
 
 
-class TestRankedTsv:
-    def _ranked(self):
-        params, candidates = random_setup(n=8, seed=26)
-        return rank_grad(params, candidates)
+class TestRankedRow:
+    @pytest.mark.parametrize(
+        "rank, triple, key, method, message",
+        [
+            (1, t("R", "a", "b", 1), 0.5, "grad", "label 1"),
+            (1, t("R", "a", "b", 0), math.nan, "grad", "non-finite ranking key"),
+            (1, t("R", "a", "b", 0), math.inf, "grad-fast", "non-finite ranking key"),
+            (1, t("R", "a", "b", 0), -math.inf, "theta", "non-finite ranking key"),
+        ],
+    )
+    def test_invariants(self, rank, triple, key, method, message):
+        with pytest.raises(ValueError, match=message):
+            RankedRow(rank, triple, key, method)
 
-    def test_roundtrip(self, tmp_path):
-        ranked = self._ranked()
+
+def ranked_by(method):
+    """Rows of one ranking method over the same small candidate pool."""
+    params, candidates = random_setup(n=8, seed=26)
+    if method == "theta":
+        return rank_theta(params, ThresholdMap(fallback=1.0), candidates, 1.0, seed=3)
+    if method == "grad":
+        return rank_grad(params, candidates)
+    if method == "grad-fast":
+        model = fit_gradient_predictor(params, candidates, 6, np.random.default_rng(9))
+        return rank_grad_fast(params, model, candidates)
+    return rank_none(candidates, seed=3)
+
+
+class TestRankedTsv:
+    @pytest.mark.parametrize("method", RANK_METHODS)
+    def test_roundtrip(self, tmp_path, method):
+        rows = ranked_by(method)
+        assert {row.method for row in rows} == {method}
+        if method == "theta":
+            assert rows != by_rank(rows), "setup assumes a shuffled list"
         path = tmp_path / "ranked.tsv"
-        write_ranked_tsv(ranked, "grad", path)
-        rows = read_ranked_tsv(path)
-        assert len(rows) == len(ranked)
-        for row, rc in zip(rows, ranked):
-            assert row.rank == rc.rank
-            assert row.triple == rc.candidate.triple
-            assert row.key == rc.key  # repr round-trips doubles exactly
-            assert row.method == "grad"
+        write_ranked_tsv(rows, path)
+        assert read_ranked_tsv(path) == rows  # repr round-trips doubles exactly
 
     def test_layout(self, tmp_path):
-        rc = RankedCandidate(cand(t("R", "a b", "c", 0)), 0.25, 1)
+        row = RankedRow(1, t("R", "a b", "c", 0), 0.25, "theta")
         path = tmp_path / "r.tsv"
-        write_ranked_tsv([rc], "theta", path)
+        write_ranked_tsv([row], path)
         assert path.read_text() == "1\tR\ta b\tc\t0.25\ttheta\n"
 
     def test_method_validated(self, tmp_path):
         with pytest.raises(ValueError):
-            write_ranked_tsv([], "magic", tmp_path / "r.tsv")
+            write_ranked_tsv([RankedRow(1, t("R", "a", "b", 0), 0.0, "magic")], tmp_path / "r.tsv")
+        assert not (tmp_path / "r.tsv").exists()
 
     def test_bad_method_on_read(self, tmp_path):
         path = tmp_path / "r.tsv"
         path.write_text("1\tR\ta\tb\t0.5\tmagic\n")
-        from negmine.kb import ParseError
-
         with pytest.raises(ParseError, match="method"):
             read_ranked_tsv(path)
 
@@ -381,11 +403,12 @@ class TestRankedTsv:
             ("1\tR\ta\tb\t0.5\tgrad\n1\tR\ta\tc\t0.4\tgrad\n", "bad\\.tsv:2: rank 1 repeated"),
             ("0\tR\ta\tb\t0.5\tgrad\n", "bad\\.tsv:1: rank 0 repeated or below 1"),
             ("1\tR\ta\tb\t0.5\tgrad\n3\tR\ta\tc\t0.4\tgrad\n", "bad\\.tsv:2: rank 3 exceeds"),
+            ("1\tR\ta\tb\t0.5\tgrad\n2\tR\ta\tc\tnan\tgrad\n", "bad\\.tsv:2: non-finite ranking key"),
+            ("1\tR\ta\tb\tinf\tgrad\n", "bad\\.tsv:1: non-finite ranking key"),
+            ("1\tR\ta\tb\t-inf\ttheta\n", "bad\\.tsv:1: non-finite ranking key"),
         ],
     )
     def test_rejects_duplicates_and_non_permutation_ranks(self, tmp_path, text, message):
-        from negmine.kb import ParseError
-
         path = tmp_path / "bad.tsv"
         path.write_text(text)
         with pytest.raises(ParseError, match=message):
@@ -397,8 +420,8 @@ class TestRankedTsv:
         assert [row.rank for row in read_ranked_tsv(path)] == [2, 3, 1]
 
     def test_rewrite_byte_identical(self, tmp_path):
-        ranked = self._ranked()
+        rows = ranked_by("grad")
         a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
-        write_ranked_tsv(ranked, "grad", a)
-        write_ranked_tsv(ranked, "grad", b)
+        write_ranked_tsv(rows, a)
+        write_ranked_tsv(rows, b)
         assert a.read_bytes() == b.read_bytes()

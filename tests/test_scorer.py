@@ -626,6 +626,12 @@ class TestTraining:
             TrainConfig(negatives_per_positive=0)
         with pytest.raises(ValueError):
             TrainConfig(corruption_mode="sideways")
+        for bad in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="learning_rate must be a finite number > 0"):
+                TrainConfig(learning_rate=bad)
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="batch_size must be >= 1"):
+                TrainConfig(batch_size=bad)
 
     def test_cycle_modes(self):
         assert TrainConfig(negatives_per_positive=3).modes() == ["head", "relation", "tail"]
