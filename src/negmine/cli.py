@@ -167,7 +167,9 @@ def cmd_thresholds(config: PipelineConfig, dry_run: bool) -> None:
             f"would rewrite {out} and write {config.thresholds_path()}"
         )
         return
-    thresholds = fit_thresholds(params, kb.splits.validation)
+    # Overflowing weights fail as non-finite scores, not as numpy warnings.
+    with np.errstate(all="ignore"):
+        thresholds = fit_thresholds(params, kb.splits.validation)
     save_checkpoint(out, params, thresholds)
     _wrote(out)
     lines = [f"# fallback\t{format_float(thresholds.fallback)}\n"]
@@ -189,8 +191,10 @@ def cmd_candidates(config: PipelineConfig, dry_run: bool) -> None:
             f"would write {out}"
         )
         return
-    index = build_index(list(kb.phrases), lambda p: embed_phrase(params, p))
-    candidates = generate_candidates(kb, index, config.k)
+    # Overflowing weights fail as non-finite distances, not as numpy warnings.
+    with np.errstate(all="ignore"):
+        index = build_index(list(kb.phrases), lambda p: embed_phrase(params, p))
+        candidates = generate_candidates(kb, index, config.k)
     write_candidates_tsv(candidates, out)
     _wrote(out)
 

@@ -38,6 +38,9 @@ def build_index(phrases: list[Phrase], embed: Callable[[Phrase], np.ndarray]) ->
         positions[p] = i
     matrix = np.stack([np.asarray(embed(p), dtype=np.float64) for p in phrases])
     norms = (matrix * matrix).sum(axis=1)
+    # A non-finite embedding makes its norm non-finite too.
+    if not np.isfinite(norms).all():
+        raise ValueError("non-finite phrase embedding or squared norm")
     return PhraseIndex(tuple(phrases), matrix, norms, positions)
 
 
@@ -56,6 +59,8 @@ def knn(index: PhraseIndex, query: Phrase, k: int) -> list[tuple[Phrase, float]]
     q_pos = index.positions[query]
     q = index.matrix[q_pos]
     sq = index.norms - 2.0 * (index.matrix @ q) + float(q @ q)
+    if not np.isfinite(sq).all():
+        raise ValueError(f"non-finite squared distance from {query.text!r}")
     np.maximum(sq, 0.0, out=sq)  # cancellation can leave tiny negatives
     sq[q_pos] = np.inf
     n_hits = min(k, len(index) - 1)

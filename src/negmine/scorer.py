@@ -34,6 +34,7 @@ import logging
 import math
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -95,12 +96,9 @@ class TokenVocab:
 
     def encode_triple(self, triple: LabeledTriple) -> np.ndarray:
         """[start, head tokens, sep, relation, sep, tail tokens] as ids."""
-        ids = [self.START]
-        ids.extend(self.word_id(t) for t in triple.head.tokens)
-        ids.append(self.SEP)
-        ids.append(self.relation_id(triple.relation))
-        ids.append(self.SEP)
-        ids.extend(self.word_id(t) for t in triple.tail.tokens)
+        word, unk = self.word_ids.get, repeat(self.UNK)
+        ids = [self.START, *map(word, triple.head.tokens, unk), self.SEP,
+               self.relation_id(triple.relation), self.SEP, *map(word, triple.tail.tokens, unk)]
         return np.asarray(ids, dtype=np.int64)
 
     def encode_phrase(self, phrase: Phrase) -> np.ndarray:
@@ -218,14 +216,24 @@ def init_params(vocab: TokenVocab, hidden_dim: int = 64, seed: int = 0) -> Score
 
 
 def sigmoid(z):
-    """Numerically stable logistic function for scalars and arrays."""
+    """Numerically stable logistic function for scalars and arrays.
+
+    A scalar goes through the array path's ufunc calls on a one-element
+    array, so it reads the same bits as an array holding it.
+    """
     z = np.asarray(z, dtype=np.float64)
+    if not z.ndim:
+        z = z.reshape(1)
+        if z[0] >= 0:
+            return float((1.0 / (1.0 + np.exp(-z)))[0])
+        ez = np.exp(z)
+        return float((ez / (1.0 + ez))[0])
     out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
-    return out if out.ndim else float(out)
+    return out
 
 
 def encode(params: ScorerParams, triple: LabeledTriple) -> np.ndarray:
@@ -325,7 +333,7 @@ class TripleGradient:
     """Gradient of one triple's loss over every parameter.
 
     Embedding rows not touched by the triple have zero gradient and are
-    omitted from `emb_rows`.
+    omitted from `emb_rows`. Rows may share one array: do not write to them.
     """
 
     emb_rows: dict[int, np.ndarray]
@@ -349,7 +357,7 @@ def loss_and_gradient(
     if label not in (0, 1):
         raise ValueError(f"label must be 0 or 1, got {label}")
     ids = params.vocab.encode_triple(triple)
-    m = params.emb[ids].mean(axis=0)
+    m = params.emb.take(ids, axis=0).sum(axis=0) / len(ids)  # `mean`'s sum and division
     t = np.tanh(params.ff_w @ m + params.ff_b)
     h = m + t
     p = sigmoid(params.w @ h + params.b)
@@ -360,16 +368,14 @@ def loss_and_gradient(
     dw = dz * h
     dh = dz * params.w
     da = dh * (1.0 - t * t)
-    dff_w = np.outer(da, m)
+    dff_w = da[:, None] * m  # `np.outer`'s multiply
     dm = dh + params.ff_w.T @ da
+    # A row is dm / length summed once per occurrence, in token order.
+    step = dm * (1.0 / len(ids))
     emb_rows: dict[int, np.ndarray] = {}
-    scale = 1.0 / len(ids)
-    for i in ids:
-        i = int(i)
-        if i in emb_rows:
-            emb_rows[i] = emb_rows[i] + dm * scale
-        else:
-            emb_rows[i] = dm * scale
+    for i in ids.tolist():
+        row = emb_rows.get(i)
+        emb_rows[i] = step if row is None else row + step
     params.grad_evals += 1
     return loss, TripleGradient(emb_rows, dff_w, da, dw, float(dz))
 
@@ -723,6 +729,8 @@ def fit_thresholds(params: ScorerParams, validation: list[LabeledTriple]) -> Thr
     if not validation:
         raise ValueError("validation set is empty")
     scores = score_batch(params, validation)
+    if not np.isfinite(scores).all():
+        raise ValueError("non-finite classification score among the validation examples")
     by_relation: dict[str, list[int]] = {}
     for i, t in enumerate(validation):
         by_relation.setdefault(t.relation, []).append(i)

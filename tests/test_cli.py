@@ -123,29 +123,37 @@ class TestExitCodes:
         assert code == 3
         assert err.startswith("negmine: invalid:") and "non-finite" in err
 
-    @pytest.mark.parametrize("method", ["theta", "grad", "grad-fast"])
-    def test_overflowing_checkpoint_writes_no_ranked_file(self, workspace, tmp_path, method):
+    @pytest.mark.parametrize(
+        "argv",
+        [["rank", "--method", m] for m in ("theta", "grad", "grad-fast")]
+        + [["candidates"], ["thresholds"]],
+        ids=["theta", "grad", "grad-fast", "candidates", "thresholds"],
+    )
+    def test_overflowing_checkpoint_writes_no_ranked_file(self, workspace, tmp_path, argv):
         # Finite weights whose forward and backward passes overflow to nan.
         for stage in ("train", "thresholds", "candidates"):
             assert run(stage, "--config", str(workspace)) == 0
-        path = tmp_path / "out" / "scorer.ckpt"
+        out = tmp_path / "out"
+        path = out / "scorer.ckpt"
         params, thresholds = load_checkpoint(path)
         for array in (params.emb, params.ff_w, params.w):
             array *= 1e160
         assert params.all_finite()
         save_checkpoint(path, params, thresholds)
+        before = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in out.iterdir()}
         # A child process, so that numpy's warnings would reach its stderr.
         src = Path(negmine.__file__).parents[1]
         child = subprocess.run(
-            [sys.executable, "-m", "negmine.cli", "rank", "--config", str(workspace),
-             "--method", method],
+            [sys.executable, "-m", "negmine.cli", argv[0], "--config", str(workspace), *argv[1:]],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
         )
         lines = child.stderr.splitlines()
         assert child.returncode == 3, child.stderr
         assert lines and all(line.startswith("negmine: invalid: ") for line in lines), lines
         assert "non-finite" in lines[0]
-        assert not (tmp_path / "out" / "ranked.tsv").exists()
+        # No ranked file, and the checkpoint and candidate file are not rewritten.
+        after = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in out.iterdir()}
+        assert after == before
 
     @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
     def test_learning_rate_checked_before_the_kb_loads(self, tmp_path, capsys, value):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from conftest import dense_gradient, fd_gradient, make_triple as t, spearman
 
+from negmine import rankers
 from negmine.ioutil import ParseError
 from negmine.rankers import (
     RANK_METHODS,
@@ -205,6 +206,38 @@ class TestRankGrad:
         before = params.grad_evals
         rank_grad(params, candidates)
         assert params.grad_evals == before + 9
+
+
+class TestOracleCalls:
+    """The exact oracle runs once per candidate, through the name
+    `rankers.loss_and_gradient`, which a tracer can wrap to count calls."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        calls = []
+        oracle = rankers.loss_and_gradient
+
+        def counting(params, triple, label):
+            calls.append((triple, label))
+            return oracle(params, triple, label)
+
+        monkeypatch.setattr(rankers, "loss_and_gradient", counting)
+        return calls
+
+    def test_rank_grad_calls_once_per_candidate(self, calls):
+        params, candidates = random_setup(n=12, seed=23)
+        before = params.grad_evals
+        rank_grad(params, candidates)
+        assert calls == [(c, 1) for c in candidates]
+        assert params.grad_evals == before + len(candidates)
+
+    def test_fit_gradient_predictor_calls_n_times(self, calls):
+        params, candidates = random_setup(n=30, seed=24)
+        before = params.grad_evals
+        fit_gradient_predictor(params, candidates, 11, np.random.default_rng(9))
+        assert len(calls) == 11 and len({c for c, _ in calls}) == 11
+        assert {label for _, label in calls} == {1}
+        assert params.grad_evals == before + 11
 
 
 class TestPredictor:

@@ -36,6 +36,13 @@ class TestBuildIndex:
         with pytest.raises(ValueError, match="duplicate"):
             build_index([p, p], lambda q: np.zeros(2))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e160])
+    def test_non_finite_embedding_or_norm_rejected(self, value):
+        p1, p2 = phrases(2)
+        table = {p1: [0.0, 1.0], p2: [value, 0.0]}
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite"):
+            build_index([p1, p2], fixed_embed(table))
+
     def test_deterministic(self):
         ps = phrases(5)
         rng = np.random.default_rng(0)
@@ -83,6 +90,13 @@ class TestKnn:
         index = build_index([p1, p3, p2, p4], fixed_embed(table))
         result = knn(index, p1, 2)
         assert [p for p, _ in result] == [p3, p2]
+
+    def test_overflowing_distance_rejected(self):
+        # Both squared norms are finite, but 2 * (matrix @ q) overflows.
+        p1, p2 = phrases(2)
+        index = build_index([p1, p2], fixed_embed({p1: [1.2e154], p2: [-1.2e154]}))
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite"):
+            knn(index, p1, 1)
 
     def test_negative_k_rejected(self):
         (p1, _, _), index = self._line_index()

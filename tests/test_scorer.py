@@ -1,21 +1,26 @@
 """Scorer: encoding, scoring, corruption, exact gradients, training, thresholds."""
 import math
+import warnings
 
 import numpy as np
 import pytest
 from conftest import corrupt
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from negmine.candidates import generate_candidates
 from negmine.kb import HEAD, TAIL, KnowledgeBase, LabeledTriple, Phrase
+from negmine.retrieval import build_index
 from negmine.scorer import (
     ADA_EPS,
     LAYOUT_BATCHES,
+    LOSS_EPS,
     PhraseTable,
     ScorerParams,
     ThresholdMap,
     TokenVocab,
     TrainConfig,
+    TripleGradient,
     _Adagrad,
     _loss_and_gradient_batch,
     _token_batches,
@@ -28,9 +33,11 @@ from negmine.scorer import (
     loss_and_gradient,
     score,
     score_batch,
+    sigmoid,
     train_contrastive,
     train_supervised,
 )
+from negmine.synthetic import SyntheticSpec, generate_kb
 
 
 def t(rel, head, tail, label=1):
@@ -249,6 +256,46 @@ class TestScore:
         np.testing.assert_array_equal(before, after)
 
 
+SIGMOID_GRID = [
+    0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 0.5, -0.5, 1.0, -1.0, 36.0, -36.0,
+    709.0, -709.0, 745.0, -745.0, 1e300, -1e300, math.inf, -math.inf, math.nan,
+]
+
+
+def same_bits(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestScalarSigmoid:
+    """A scalar reads the bits of the array path on a one-element array."""
+
+    @staticmethod
+    def check(x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            want = sigmoid(np.array([x]))[0]
+            for arg in (x, np.float64(x), np.array(x)):
+                got = sigmoid(arg)
+                assert type(got) is float
+                assert same_bits(np.float64(got), want), (arg, got, want)
+
+    @pytest.mark.parametrize("x", SIGMOID_GRID)
+    def test_grid(self, x):
+        self.check(x)
+
+    @given(st.floats(allow_nan=True, allow_infinity=True))
+    def test_any_float(self, x):
+        self.check(x)
+
+    def test_array_path_keeps_its_shape(self):
+        z = np.array(SIGMOID_GRID).reshape(3, 7)
+        out = sigmoid(z)
+        assert out.shape == (3, 7)
+        for x, y in zip(z.ravel(), out.ravel()):
+            assert same_bits(np.float64(sigmoid(x)), y)
+
+
 class TestCorrupt:
     def test_slot_contract(self):
         kb = toy_kb()
@@ -375,6 +422,111 @@ class TestLossAndGradient:
         loss_and_gradient(params, t("r", "a", "b"), 1)
         loss_and_gradient(params, t("r", "a", "b"), 0)
         assert params.grad_evals == 2
+
+
+def reference_loss_and_gradient(params, triple, label):
+    """`loss_and_gradient` written plainly: ids from per-phrase generators,
+    the scalar logistic through the array path, `mean`, `np.outer`, and one
+    scaled add per token occurrence. The bit-exact reference for the oracle."""
+    vocab = params.vocab
+    ids = [vocab.START]
+    ids.extend(vocab.word_id(w) for w in triple.head.tokens)
+    ids.append(vocab.SEP)
+    ids.append(vocab.relation_id(triple.relation))
+    ids.append(vocab.SEP)
+    ids.extend(vocab.word_id(w) for w in triple.tail.tokens)
+    ids = np.asarray(ids, dtype=np.int64)
+    m = params.emb[ids].mean(axis=0)
+    t = np.tanh(params.ff_w @ m + params.ff_b)
+    h = m + t
+    p = float(sigmoid(np.array([params.w @ h + params.b]))[0])
+    pc = min(max(p, LOSS_EPS), 1.0 - LOSS_EPS)
+    loss = -(label * math.log(pc) + (1 - label) * math.log(1.0 - pc))
+
+    dz = p - label
+    dw = dz * h
+    dh = dz * params.w
+    da = dh * (1.0 - t * t)
+    dff_w = np.outer(da, m)
+    dm = dh + params.ff_w.T @ da
+    emb_rows = {}
+    scale = 1.0 / len(ids)
+    for i in ids:
+        i = int(i)
+        if i in emb_rows:
+            emb_rows[i] = emb_rows[i] + dm * scale
+        else:
+            emb_rows[i] = dm * scale
+    return loss, TripleGradient(emb_rows, dff_w, da, dw, float(dz))
+
+
+def assert_oracle_is_reference(params, triple, label):
+    want_loss, want = reference_loss_and_gradient(params, triple, label)
+    evals = params.grad_evals
+    loss, got = loss_and_gradient(params, triple, label)
+    assert params.grad_evals == evals + 1
+    assert same_bits(loss, want_loss)
+    for name in ("ff_w", "ff_b", "w", "b"):
+        assert same_bits(getattr(got, name), getattr(want, name)), name
+    assert list(got.emb_rows) == list(want.emb_rows)
+    for i, row in want.emb_rows.items():
+        assert same_bits(got.emb_rows[i], row), i
+    assert same_bits(got.norm(), want.norm())
+
+
+ORACLE_WORDS = ["a", "b", "c", "d"]
+
+
+@st.composite
+def oracle_cases(draw):
+    """Params, a triple of repeated, unknown and known words under a known or
+    unknown relation, a label, and the logit's sign flipped or not."""
+    vocab = TokenVocab(["r", "s"], ORACLE_WORDS)
+    params = init_params(vocab, hidden_dim=draw(st.integers(2, 6)), seed=draw(st.integers(0, 99)))
+    params.ff_b[:] = np.random.default_rng(draw(st.integers(0, 99))).normal(size=params.hidden_dim)
+    params.b = draw(st.floats(-3.0, 3.0))
+    if draw(st.booleans()):  # the logit w @ h + b changes sign
+        params.w *= -1.0
+        params.b = -params.b
+    word = st.sampled_from(ORACLE_WORDS + ["zzz", "qqq"])
+    phrase = st.lists(word, min_size=1, max_size=9).map(" ".join)
+    triple = t(draw(st.sampled_from(["r", "s", "unseen"])), draw(phrase), draw(phrase))
+    return params, triple, draw(st.sampled_from([0, 1]))
+
+
+class TestOracleMatchesReference:
+    """`loss_and_gradient` is bit for bit its first version."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(oracle_cases())
+    @example((init_params(TokenVocab(["r", "s"], ORACLE_WORDS), 4, 1), t("r", "a a a a b", "a c"), 1))
+    @example((init_params(TokenVocab(["r", "s"], ORACLE_WORDS), 4, 2), t("x", "zzz qqq zzz", "d d d d"), 0))
+    def test_random_triples(self, case):
+        assert_oracle_is_reference(*case)
+
+    def test_both_logit_signs_and_labels(self):
+        vocab = TokenVocab(["r", "s"], ORACLE_WORDS)
+        params = init_params(vocab, hidden_dim=5, seed=6)
+        triple = t("s", "b b b b zzz", "c a b")
+        logits = []
+        for _ in range(2):
+            params.w *= -1.0
+            params.b = -params.b
+            logits.append(float(params.w @ encode(params, triple) + params.b))
+            for label in (0, 1):
+                assert_oracle_is_reference(params, triple, label)
+        assert min(logits) < 0 < max(logits)
+
+    def test_every_candidate_of_a_trained_world(self):
+        kb = generate_kb(SyntheticSpec(clusters=3, cluster_size=6, relations=4, density=0.8, seed=5))
+        params = init_params(TokenVocab.from_kb(kb), hidden_dim=8, seed=1)
+        train_contrastive(params, kb, TrainConfig(epochs=5, learning_rate=0.05, seed=1))
+        index = build_index(list(kb.phrases), lambda p: embed_phrase(params, p))
+        candidates = generate_candidates(kb, index, 6)
+        assert len(candidates) >= 50
+        for c in candidates:
+            for label in (0, 1):
+                assert_oracle_is_reference(params, c.triple, label)
 
 
 def mixed_batch():
@@ -718,6 +870,20 @@ class TestThresholds:
         assert "avoids" not in thresholds.per_relation
         assert thresholds.threshold_for("avoids") == thresholds.fallback
         assert thresholds.threshold_for("likes") == thresholds.per_relation["likes"]
+
+    def test_fit_thresholds_rejects_a_non_finite_score(self):
+        kb = toy_kb()
+        vocab = TokenVocab.from_kb(kb)
+        params = init_params(vocab, hidden_dim=8, seed=0)
+        validation = [
+            t("likes", "a0", "b0", 1),
+            t("likes", "a1", "b1", 1),
+            t("likes", "a0", "d0", 0),
+            t("likes", "a2", "d1", 0),
+        ]
+        params.emb[vocab.word_ids["d1"]] = np.nan  # only the last example scores nan
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite"):
+            fit_thresholds(params, validation)
 
     def test_fit_thresholds_empty_rejected(self):
         kb = toy_kb()
