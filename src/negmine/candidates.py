@@ -166,7 +166,9 @@ def write_candidates_tsv(candidates: list[Candidate], path: str | Path) -> None:
 
 
 def read_candidates_tsv(path: str | Path) -> list[Candidate]:
+    """Candidates of a candidate file, which must hold distinct triples."""
     phrases: dict[str, Phrase] = {}
+    seen: set[tuple] = set()
 
     def parse(fields: list[str]) -> Candidate:
         relation, head, tail, src_head, src_tail, slot, rank_text = fields
@@ -174,8 +176,15 @@ def read_candidates_tsv(path: str | Path) -> list[Candidate]:
             rank = int(rank_text)
         except ValueError:
             raise ValueError(f"bad neighbor_rank {rank_text!r}") from None
+        triple = LabeledTriple(
+            intern_phrase(phrases, head), relation, intern_phrase(phrases, tail), 0
+        )
+        key = triple.key()
+        if key in seen:
+            raise ValueError(f"duplicate candidate triple {relation!r} {head!r} {tail!r}")
+        seen.add(key)
         return Candidate(
-            LabeledTriple(intern_phrase(phrases, head), relation, intern_phrase(phrases, tail), 0),
+            triple,
             LabeledTriple(
                 intern_phrase(phrases, src_head), relation, intern_phrase(phrases, src_tail), 1
             ),

@@ -200,9 +200,7 @@ def test_criterion_5_gradient_predictor_fidelity(capsys, predictor_world):
     for _ in range(3):
         start = time.perf_counter()
         rng = np.random.default_rng([0, 40])
-        predictor = fit_gradient_predictor(
-            params, candidates, 160, rng, epochs=30, learning_rate=0.01, batch_size=64
-        )
+        predictor = fit_gradient_predictor(params, candidates, 160, rng)
         fast = rank_grad_fast(params, predictor, candidates)
         t_fast = min(t_fast, time.perf_counter() - start)
     true_key = {r.triple: r.key for r in full}

@@ -171,6 +171,19 @@ class TestCandidateTsv:
         write_candidates_tsv([cand], b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_repeated_triple_rejected(self, tmp_path):
+        path = tmp_path / "cands.tsv"
+        path.write_text(
+            "R\tx\tb\ta\tb\thead\t1\n"
+            "R\ta\ty\ta\tb\ttail\t1\n"
+            "R\tX\tb\ta\tc\thead\t2\n",
+            encoding="utf-8",
+        )
+        from negmine.kb import ParseError
+
+        with pytest.raises(ParseError, match="cands\\.tsv:3: duplicate candidate triple"):
+            read_candidates_tsv(path)
+
     def test_malformed_rejected(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("R\ta\tb\tc\n")

@@ -155,6 +155,21 @@ class TestExitCodes:
         after = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in out.iterdir()}
         assert after == before
 
+    @pytest.mark.parametrize("method", RANK_METHODS)
+    def test_repeated_candidate_writes_no_ranked_file(self, workspace, tmp_path, capsys, method):
+        for stage in ("train", "thresholds", "candidates"):
+            assert run(stage, "--config", str(workspace)) == 0
+        candidates = tmp_path / "out" / "candidates.tsv"
+        lines = candidates.read_text(encoding="utf-8").splitlines(keepends=True)
+        candidates.write_text("".join(lines[:3] + lines[2:]), encoding="utf-8")
+        capsys.readouterr()
+        code = run("rank", "--config", str(workspace), "--method", method)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith(f"negmine: invalid: {candidates}:4: duplicate candidate triple")
+        assert all(line.startswith("negmine: ") for line in err.splitlines()), err
+        assert not (tmp_path / "out" / "ranked.tsv").exists()
+
     @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
     def test_learning_rate_checked_before_the_kb_loads(self, tmp_path, capsys, value):
         code = run("train", "--kb", str(tmp_path / "absent.tsv"), "--learning-rate", value)
