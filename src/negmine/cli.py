@@ -317,8 +317,7 @@ def cmd_report(config: PipelineConfig, dry_run: bool) -> None:
         names = ", ".join(str(p) for p in paths)
         print(f"plan: combine {names}; would write {out}")
         return
-    results = [r for path in paths for r in read_trials_tsv(path)]
-    report = EvaluationReport(results, baseline=config.baseline)
+    report = EvaluationReport(read_trials_tsv(*paths), baseline=config.baseline)
     write_report_tsv(report, out)
     _wrote(out)
     print(format_report(report), end="")

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ioutil import atomic_write_text, derive_seed, format_float, read_lines
+from .ioutil import ParseError, atomic_write_text, derive_seed, format_float, read_lines
 from .kb import KnowledgeBase, LabeledTriple
 from .rankers import RankedRow
 from .samplers import (
@@ -88,25 +88,19 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, max_iterations + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < floor:
-            d = floor
-        c = 1.0 + aa / c
-        if abs(c) < floor:
-            c = floor
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < floor:
-            d = floor
-        c = 1.0 + aa / c
-        if abs(c) < floor:
-            c = floor
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        for aa in (
+            m * (b - m) * x / ((qam + m2) * (a + m2)),
+            -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)),
+        ):
+            d = 1.0 + aa * d
+            if abs(d) < floor:
+                d = floor
+            c = 1.0 + aa / c
+            if abs(c) < floor:
+                c = floor
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < eps:
             return h
     raise RuntimeError(f"incomplete beta did not converge for a={a}, b={b}, x={x}")
@@ -408,7 +402,8 @@ def write_trials_tsv(results: Sequence[TrialResult], path: str | Path) -> None:
     atomic_write_text(path, "".join(lines))
 
 
-def read_trials_tsv(path: str | Path) -> list[TrialResult]:
+def read_trials_tsv(*paths: str | Path) -> list[TrialResult]:
+    """Rows of one or more trials files, which must not repeat a (sampler, trial) pair."""
     def parse(fields: list[str]) -> TrialResult:
         sampler, trial, accuracy, precision, recall = fields
         return TrialResult(
@@ -419,7 +414,17 @@ def read_trials_tsv(path: str | Path) -> list[TrialResult]:
             None if recall == NA else float(recall),
         )
 
-    return [result for _, result in read_lines(path, parse, 5)]
+    results: list[TrialResult] = []
+    first: dict[tuple[str, int], str | Path] = {}
+    for path in paths:
+        for line_no, result in read_lines(path, parse, 5):
+            key = (result.sampler, result.trial)
+            if key in first:
+                where = "" if first[key] == path else f", also in {first[key]}"
+                raise ParseError(path, line_no, f"duplicate trial {key}{where}")
+            first[key] = path
+            results.append(result)
+    return results
 
 
 def report_rows(report: EvaluationReport) -> list[tuple[str, str, float | None, float | None, float | None]]:

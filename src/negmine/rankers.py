@@ -5,8 +5,8 @@ rows that `write_ranked_tsv` writes and `read_ranked_tsv` reads back. Four
 methods: `theta`, the classification score among the below-threshold pool
 ("almost positive" first); `grad`, the L2 magnitude of the loss gradient
 under a forced positive label (larger means the statement fights the trained
-beliefs harder); `grad-fast`, a least-squares fit on a sample of exact norms
-that predicts the other magnitudes from pooled vectors, skipping their
+beliefs harder); `grad-fast`, a linear least-squares fit on a sample of exact
+norms that predicts the other magnitudes from pooled vectors, skipping their
 backward passes; and `none`, a seeded shuffle, the no-ranking ablation.
 """
 from __future__ import annotations
@@ -70,26 +70,20 @@ def rank_theta(
     """
     if not 0.0 < keep_fraction <= 1.0:
         raise ValueError(f"keep_fraction must be in (0, 1], got {keep_fraction}")
-    if not candidates:
-        return []
     scores = score_batch(params, candidates)
     if not np.isfinite(scores).all():
         raise ValueError("non-finite classification score among the candidates")
     by_relation: dict[str, list[int]] = {}
     for i, triple in enumerate(candidates):
         by_relation.setdefault(triple.relation, []).append(i)
-    ordered: list[RankedRow] = []
+    order: list[int] = []
     for relation in sorted(by_relation):
         theta = thresholds.threshold_for(relation)
         pool = [i for i in by_relation[relation] if scores[i] <= theta]
         # Stable sort on negated score keeps emission order among ties.
         pool.sort(key=lambda i: -scores[i])
-        kept = pool[: math.ceil(keep_fraction * len(pool))]
-        base = len(ordered)
-        ordered.extend(
-            RankedRow(base + j + 1, candidates[i], float(scores[i]), "theta")
-            for j, i in enumerate(kept)
-        )
+        order.extend(pool[: math.ceil(keep_fraction * len(pool))])
+    ordered = _ranked(candidates, order, scores, "theta")
     perm = np.random.default_rng([seed, 10]).permutation(len(ordered))
     return [ordered[i] for i in perm]
 
@@ -100,45 +94,41 @@ def gradient_magnitude(params: ScorerParams, triple: LabeledTriple) -> float:
     return grad.norm()
 
 
-def _rank_descending(
-    candidates: list[LabeledTriple], keys: np.ndarray, method: str
+def _ranked(
+    candidates: list[LabeledTriple], order: list[int] | np.ndarray, keys: np.ndarray, method: str
 ) -> list[RankedRow]:
-    """Descending stable sort; emission order breaks ties; ranks 1..n."""
-    order = np.argsort(-keys, kind="stable")
+    """Rows of the candidates listed in `order`, ranked 1..n in that order."""
+    keys = np.asarray(keys, dtype=np.float64).tolist()
     return [
-        RankedRow(rank, candidates[int(i)], float(keys[int(i)]), method)
-        for rank, i in enumerate(order, start=1)
+        RankedRow(rank, candidates[i], keys[i], method)
+        for rank, i in enumerate(np.asarray(order, dtype=np.int64).tolist(), start=1)
     ]
 
 
 def rank_grad(params: ScorerParams, candidates: list[LabeledTriple]) -> list[RankedRow]:
-    """Descending exact gradient magnitude; one backward pass per candidate."""
+    """Descending exact gradient magnitude, ties in emission order; one backward pass each."""
     keys = np.array([gradient_magnitude(params, triple) for triple in candidates])
-    return _rank_descending(candidates, keys, "grad")
+    return _ranked(candidates, np.argsort(-keys, kind="stable"), keys, "grad")
 
 
 def rank_none(candidates: list[LabeledTriple], *, seed: int = 0) -> list[RankedRow]:
     """No-ranking ablation: a seeded shuffle with constant keys."""
     perm = np.random.default_rng([seed, 11]).permutation(len(candidates))
-    return [
-        RankedRow(rank, candidates[int(i)], 0.0, "none") for rank, i in enumerate(perm, start=1)
-    ]
+    return _ranked(candidates, perm, np.zeros(len(candidates)), "none")
 
 
 class GradientPredictor:
-    """One-hidden-layer regressor from pooled vectors to gradient magnitudes.
+    """Linear regressor from pooled vectors to gradient magnitudes.
 
-    The hidden block is the same residual tanh used by the scorer's encoder,
-    so exactly linear targets stay exactly representable. Inputs and targets
-    are standardized internally; `predict` returns values in original target
-    units. Zero target variance collapses to the constant predictor.
+    Inputs and targets are standardized internally; `predict` returns values
+    in original target units. Zero target variance collapses to the constant
+    predictor.
     """
 
     def __init__(self, input_dim: int):
         self.input_dim = input_dim
-        self.w1 = np.zeros((input_dim, input_dim))
-        self.w2 = np.zeros(input_dim)
-        self.b2 = 0.0
+        self.weights = np.zeros(input_dim)
+        self.bias = 0.0
         self.x_mean = np.zeros(input_dim)
         self.x_scale = np.ones(input_dim)
         self.y_mean = 0.0
@@ -154,21 +144,15 @@ class GradientPredictor:
                 f"feature dimension {features.shape[1]} does not match predictor input {self.input_dim}"
             )
         x = (features - self.x_mean) / self.x_scale
-        hidden = x + np.tanh(x @ self.w1)
-        return (hidden @ self.w2 + self.b2) * self.y_scale + self.y_mean
+        return (x @ self.weights + self.bias) * self.y_scale + self.y_mean
 
 
-def fit_mae_regressor(
-    features: np.ndarray, targets: np.ndarray, rng: np.random.Generator
-) -> GradientPredictor:
-    """Fit the one-hidden-layer regressor on explicit (features, targets).
+def fit_mae_regressor(features: np.ndarray, targets: np.ndarray) -> GradientPredictor:
+    """Fit the linear regressor on explicit (features, targets).
 
-    Hidden width equals the feature dimension, with the scorer encoder's
-    residual tanh. Two hidden blocks are tried, a zeroed `w1` (the bare
-    inputs) and a seeded random `w1` (random tanh features, Rahimi & Recht
-    2007); each gets its output layer by least squares, and the block with
-    the lower training mean absolute error is kept. The name predates the
-    closed form and stays because the benchmark's tracer wraps it.
+    Weights and bias are one least-squares solve over the standardized
+    inputs. The name predates the closed form and stays because the
+    benchmark's tracer wraps it.
     """
     features = np.asarray(features, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
@@ -180,25 +164,11 @@ def fit_mae_regressor(
     model.x_scale = np.where(std > 1e-12, std, 1.0)
     model.y_mean = float(targets.mean())
     y_std = float(targets.std())
-    if y_std <= 1e-12:
-        # Constant targets: the bias alone is the exact fit.
-        model.train_mae = float(np.abs(model.predict(features) - targets).mean())
-        return model
-    model.y_scale = y_std
-
+    model.y_scale = y_std if y_std > 1e-12 else 1.0
     x = (features - model.x_mean) / model.x_scale
     y = (targets - model.y_mean) / model.y_scale
-    init = np.random.default_rng(rng.integers(2**63))
-    random_w1 = init.normal(0.0, 1.0 / math.sqrt(h), size=(h, h))
-
-    def least_squares(w1: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        phi = np.column_stack([x + np.tanh(x @ w1), np.ones(n)])
-        solution = np.linalg.lstsq(phi, y, rcond=None)[0]
-        return float(np.abs(phi @ solution - y).mean()), w1, solution
-
-    fits = [least_squares(w1) for w1 in (np.zeros((h, h)), random_w1)]
-    _, model.w1, solution = min(fits, key=lambda fit: fit[0])
-    model.w2, model.b2 = solution[:h], float(solution[h])
+    solution = np.linalg.lstsq(np.column_stack([x, np.ones(n)]), y, rcond=None)[0]
+    model.weights, model.bias = solution[:h], float(solution[h])
     model.train_mae = float(np.abs(model.predict(features) - targets).mean())
     return model
 
@@ -220,22 +190,15 @@ def fit_gradient_predictor(
     targets = np.array([gradient_magnitude(params, triple) for triple in chosen])
     if not np.isfinite(targets).all():
         raise ValueError("non-finite gradient magnitude among the predictor's training targets")
-    return fit_mae_regressor(features, targets, rng)
+    return fit_mae_regressor(features, targets)
 
 
 def rank_grad_fast(
     params: ScorerParams, predictor: GradientPredictor, candidates: list[LabeledTriple]
 ) -> list[RankedRow]:
     """Descending predicted gradient magnitude; forward passes only."""
-    if predictor.input_dim != params.hidden_dim:
-        raise ValueError(
-            f"predictor input dimension {predictor.input_dim} does not match "
-            f"scorer hidden dimension {params.hidden_dim}"
-        )
-    if not candidates:
-        return []
     keys = predictor.predict(encode_batch(params, candidates))
-    return _rank_descending(candidates, keys, "grad-fast")
+    return _ranked(candidates, np.argsort(-keys, kind="stable"), keys, "grad-fast")
 
 
 def pearson(xs, ys) -> float:

@@ -170,6 +170,27 @@ class TestExitCodes:
         assert all(line.startswith("negmine: ") for line in err.splitlines()), err
         assert not (tmp_path / "out" / "ranked.tsv").exists()
 
+    @pytest.mark.parametrize("where", ["same-file", "two-files"])
+    def test_repeated_trial_writes_no_report(self, workspace, tmp_path, capsys, where):
+        assert run("evaluate", "--config", str(workspace), "--sampler", "uniform",
+                   "--trials", "1") == 0
+        trials = tmp_path / "out" / "trials-uniform.tsv"
+        text = trials.read_text(encoding="utf-8")
+        if where == "same-file":
+            trials.write_text(text + text, encoding="utf-8")
+            expected = f"negmine: invalid: {trials}:2: duplicate trial ('uniform', 1)"
+        else:
+            copy = tmp_path / "out" / "trials-sans.tsv"
+            copy.write_text(text, encoding="utf-8")
+            expected = f"negmine: invalid: {trials}:1: duplicate trial ('uniform', 1), also in {copy}"
+        capsys.readouterr()
+        code = run("report", "--config", str(workspace))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith(expected), err
+        assert all(line.startswith("negmine: ") for line in err.splitlines()), err
+        assert not (tmp_path / "out" / "report.tsv").exists()
+
     @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
     def test_learning_rate_checked_before_the_kb_loads(self, tmp_path, capsys, value):
         code = run("train", "--kb", str(tmp_path / "absent.tsv"), "--learning-rate", value)

@@ -392,6 +392,12 @@ class TestReportingIo:
         with pytest.raises(ParseError):
             read_trials_tsv(path)
 
+    def test_trials_repeated_pair_rejected(self, tmp_path):
+        path = tmp_path / "trials.tsv"
+        path.write_text("uniform\t1\t0.5\tNA\tNA\nslots\t1\t0.5\tNA\tNA\nuniform\t1\t0.6\tNA\tNA\n")
+        with pytest.raises(ParseError, match=r"trials.tsv:3: duplicate trial \('uniform', 1\)"):
+            read_trials_tsv(path)
+
     def test_report_rows_p_only_on_accuracy(self):
         report = EvaluationReport(toy_results())
         rows = report_rows(report)
