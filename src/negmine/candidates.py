@@ -9,16 +9,21 @@ candidates are plausible-but-unsupported statements, ready for ranking.
 Generation runs on the KB's integer view (`KnowledgeBase.ids`): neighbor
 lists become KB phrase ids, candidates become packed int64 triple keys, and
 filters (a)-(c) are array operations over blocks of positives.
+
+A candidate file reads back as a `CandidateTable`: integer rows over the
+file's distinct phrases and relations, which the rankers take as they are.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .ioutil import atomic_write_text, read_lines
-from .kb import SLOTS, KnowledgeBase, LabeledTriple, Phrase, intern_phrase
+from .kb import SLOTS, KnowledgeBase, LabeledTriple, Phrase
 from .retrieval import PhraseIndex, knn
 
 # Grid cells (positive x slot x neighbor rank) expanded at a time.
@@ -39,6 +44,65 @@ class Candidate:
             raise ValueError(f"unknown slot {self.slot!r}")
         if self.neighbor_rank < 1:
             raise ValueError("neighbor_rank is 1-based")
+
+
+@dataclass(frozen=True, eq=False)
+class CandidateTable(Sequence[Candidate]):
+    """Candidate negatives as integer rows over their distinct phrases and relations.
+
+    Row i is `rows[i] = (head phrase, relation, tail phrase)`, indexing
+    `phrases` (distinct `Phrase`s) and `relations` (names); every candidate
+    has label 0. The substitution columns say how row i was made: `sources[i]`
+    holds the substituted positive's (head phrase, tail phrase), `slots[i]`
+    indexes `SLOTS`, and `neighbor_ranks[i]` is 1-based. A table made by
+    `from_triples` has no substitution columns (they are None).
+
+    The table reads as a sequence of `Candidate`, each decoded on access;
+    `triples` decodes only the rows asked for.
+    """
+
+    phrases: tuple[Phrase, ...]
+    relations: tuple[str, ...]
+    rows: np.ndarray  # (n, 3) int64
+    sources: np.ndarray | None = None  # (n, 2) int64
+    slots: np.ndarray | None = None  # (n,) int64
+    neighbor_ranks: np.ndarray | None = None  # (n,) int64
+
+    @classmethod
+    def from_triples(cls, triples: Iterable[LabeledTriple]) -> "CandidateTable":
+        """A table of the triples' statements, in order, without substitution columns."""
+        phrase_ids: dict[Phrase, int] = {}
+        relation_ids: dict[str, int] = {}
+        flat = [
+            i
+            for t in triples
+            for i in (
+                phrase_ids.setdefault(t.head, len(phrase_ids)),
+                relation_ids.setdefault(t.relation, len(relation_ids)),
+                phrase_ids.setdefault(t.tail, len(phrase_ids)),
+            )
+        ]
+        rows = np.asarray(flat, dtype=np.int64).reshape(-1, 3)
+        return cls(tuple(phrase_ids), tuple(relation_ids), rows)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def triples(self, indices: Iterable[int] | np.ndarray | None = None) -> list[LabeledTriple]:
+        """The label-0 triples of rows `indices` (every row by default), in that order."""
+        rows = self.rows if indices is None else self.rows[np.asarray(indices, dtype=np.int64)]
+        phrases, relations = self.phrases, self.relations
+        return [
+            LabeledTriple(phrases[h], relations[r], phrases[t], 0) for h, r, t in rows.tolist()
+        ]
+
+    def __getitem__(self, i: int) -> Candidate:
+        if self.sources is None:
+            raise ValueError("a table made from triples holds no substitutions")
+        (triple,) = self.triples([i])
+        head, tail = self.sources[i].tolist()
+        source = LabeledTriple(self.phrases[head], triple.relation, self.phrases[tail], 1)
+        return Candidate(triple, source, SLOTS[self.slots[i]], int(self.neighbor_ranks[i]))
 
 
 def generate_candidates(kb: KnowledgeBase, index: PhraseIndex, k: int) -> list[Candidate]:
@@ -123,7 +187,7 @@ class ValidationReport:
 
 
 def validate_candidates(
-    kb: KnowledgeBase, candidates: list[Candidate], k: int
+    kb: KnowledgeBase, candidates: Iterable[Candidate], k: int
 ) -> ValidationReport:
     """Independent recheck of every generation invariant.
 
@@ -165,31 +229,66 @@ def write_candidates_tsv(candidates: list[Candidate], path: str | Path) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def read_candidates_tsv(path: str | Path) -> list[Candidate]:
-    """Candidates of a candidate file, which must hold distinct triples."""
-    phrases: dict[str, Phrase] = {}
-    seen: set[tuple] = set()
+# Largest neighbor rank a candidate table holds (its int64 column).
+_MAX_RANK = np.iinfo(np.int64).max
 
-    def parse(fields: list[str]) -> Candidate:
+
+class _PhraseIds(dict):
+    """Text -> phrase id. Each distinct text is parsed once, on its first
+    lookup, and texts that parse to the same `Phrase` share its id."""
+
+    def __init__(self):
+        super().__init__()
+        self.phrases: list[Phrase] = []
+        self._ids: dict[Phrase, int] = {}
+
+    def __missing__(self, text: str) -> int:
+        phrase = Phrase.parse(text)
+        i = self[text] = self._ids.setdefault(phrase, len(self.phrases))
+        if i == len(self.phrases):
+            self.phrases.append(phrase)
+        return i
+
+
+def read_candidates_tsv(path: str | Path) -> CandidateTable:
+    """The candidate table of a candidate file, which must hold distinct triples.
+
+    A repeated triple (compared by phrase ids, so case and spacing variants
+    count) is rejected at the line that repeats it.
+    """
+    phrase_ids = _PhraseIds()
+    relation_ids: dict[str, int] = {}
+    slot_ids = {slot: i for i, slot in enumerate(SLOTS)}
+    seen: set[tuple[int, int, int]] = set()
+
+    def parse(fields: list[str]) -> tuple[int, ...]:
         relation, head, tail, src_head, src_tail, slot, rank_text = fields
         try:
             rank = int(rank_text)
         except ValueError:
             raise ValueError(f"bad neighbor_rank {rank_text!r}") from None
-        triple = LabeledTriple(
-            intern_phrase(phrases, head), relation, intern_phrase(phrases, tail), 0
-        )
-        key = triple.key()
-        if key in seen:
+        relation_id = relation_ids.setdefault(relation, len(relation_ids))
+        row = (phrase_ids[head], relation_id, phrase_ids[tail])
+        if row in seen:
             raise ValueError(f"duplicate candidate triple {relation!r} {head!r} {tail!r}")
-        seen.add(key)
-        return Candidate(
-            triple,
-            LabeledTriple(
-                intern_phrase(phrases, src_head), relation, intern_phrase(phrases, src_tail), 1
-            ),
-            slot,
-            rank,
-        )
+        seen.add(row)
+        source = (phrase_ids[src_head], phrase_ids[src_tail])
+        slot_id = slot_ids.get(slot)
+        if slot_id is None:
+            raise ValueError(f"unknown slot {slot!r}")
+        if rank < 1:
+            raise ValueError("neighbor_rank is 1-based")
+        if rank > _MAX_RANK:
+            raise ValueError(f"neighbor_rank {rank} out of range")
+        return (*row, *source, slot_id, rank)
 
-    return [candidate for _, candidate in read_lines(path, parse, 7)]
+    lines = (values for _, values in read_lines(path, parse, 7))
+    columns = np.fromiter(chain.from_iterable(lines), dtype=np.int64).reshape(-1, 7)
+    return CandidateTable(
+        tuple(phrase_ids.phrases),
+        tuple(relation_ids),
+        columns[:, :3],
+        columns[:, 3:5],
+        columns[:, 5],
+        columns[:, 6],
+    )

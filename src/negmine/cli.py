@@ -206,7 +206,7 @@ def cmd_rank(config: PipelineConfig, dry_run: bool) -> None:
     if dry_run:
         print(f"plan: rank {candidates_path} by method={config.method}; would write {out}")
         return
-    candidates = [c.triple for c in read_candidates_tsv(candidates_path)]
+    candidates = read_candidates_tsv(candidates_path)
     # Overflowing weights fail as non-finite keys, not as numpy warnings.
     with np.errstate(all="ignore"):
         if config.method == "theta":

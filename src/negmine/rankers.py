@@ -1,7 +1,9 @@
 """Rank candidate negatives by contradiction strength.
 
-Every ranker takes the candidates' triples and returns `RankedRow`s, the
-rows that `write_ranked_tsv` writes and `read_ranked_tsv` reads back. Four
+Every ranker takes a `CandidateTable` and returns `RankedRow`s, the rows
+that `write_ranked_tsv` writes and `read_ranked_tsv` reads back. Forward
+passes pool the table's id rows directly, and a ranker decodes to triples
+only the rows it returns, plus those its backward passes take. Four
 methods: `theta`, the classification score among the below-threshold pool
 ("almost positive" first); `grad`, the L2 magnitude of the loss gradient
 under a forced positive label (larger means the statement fights the trained
@@ -17,14 +19,17 @@ from pathlib import Path
 
 import numpy as np
 
+from .candidates import CandidateTable
 from .ioutil import ParseError, atomic_write_text, format_float, read_lines
 from .kb import LabeledTriple, Phrase, intern_phrase
-from .scorer import (
+from .scorer import (  # noqa: F401  (score_batch re-exported for the benchmark tracer)
+    PhraseTable,
     ScorerParams,
     ThresholdMap,
-    encode_batch,
+    encode_rows,
     loss_and_gradient,
     score_batch,
+    score_rows,
 )
 
 RANK_METHODS = ("theta", "grad", "grad-fast", "none")
@@ -53,10 +58,25 @@ class RankedRow:
             raise ValueError(f"non-finite ranking key {self.key!r} at rank {self.rank}")
 
 
+def _scorer_rows(
+    params: ScorerParams, candidates: CandidateTable, indices: np.ndarray | None = None
+) -> tuple[PhraseTable, np.ndarray]:
+    """The scorer's id rows of the candidates (of rows `indices`), over their phrases.
+
+    The table's phrases are distinct, so phrase ids carry over unchanged and
+    only relation ids become relation token ids.
+    """
+    vocab = params.vocab
+    tokens = np.array([vocab.relation_id(r) for r in candidates.relations], dtype=np.int64)
+    rows = candidates.rows if indices is None else candidates.rows[indices]
+    rows = np.column_stack([rows[:, 0], tokens[rows[:, 1]], rows[:, 2]])
+    return PhraseTable(vocab, candidates.phrases), rows
+
+
 def rank_theta(
     params: ScorerParams,
     thresholds: ThresholdMap,
-    candidates: list[LabeledTriple],
+    candidates: CandidateTable,
     keep_fraction: float = 0.5,
     *,
     seed: int = 0,
@@ -70,20 +90,18 @@ def rank_theta(
     """
     if not 0.0 < keep_fraction <= 1.0:
         raise ValueError(f"keep_fraction must be in (0, 1], got {keep_fraction}")
-    scores = score_batch(params, candidates)
+    scores = score_rows(params, *_scorer_rows(params, candidates))
     if not np.isfinite(scores).all():
         raise ValueError("non-finite classification score among the candidates")
-    by_relation: dict[str, list[int]] = {}
-    for i, triple in enumerate(candidates):
-        by_relation.setdefault(triple.relation, []).append(i)
-    order: list[int] = []
-    for relation in sorted(by_relation):
-        theta = thresholds.threshold_for(relation)
-        pool = [i for i in by_relation[relation] if scores[i] <= theta]
+    relation_of = candidates.rows[:, 1]
+    kept = [np.zeros(0, dtype=np.int64)]
+    for relation, name in sorted(enumerate(candidates.relations), key=lambda item: item[1]):
+        below = scores <= thresholds.threshold_for(name)
+        pool = np.flatnonzero((relation_of == relation) & below)
         # Stable sort on negated score keeps emission order among ties.
-        pool.sort(key=lambda i: -scores[i])
-        order.extend(pool[: math.ceil(keep_fraction * len(pool))])
-    ordered = _ranked(candidates, order, scores, "theta")
+        pool = pool[np.argsort(-scores[pool], kind="stable")]
+        kept.append(pool[: math.ceil(keep_fraction * len(pool))])
+    ordered = _ranked(candidates, np.concatenate(kept), scores, "theta")
     perm = np.random.default_rng([seed, 10]).permutation(len(ordered))
     return [ordered[i] for i in perm]
 
@@ -95,23 +113,23 @@ def gradient_magnitude(params: ScorerParams, triple: LabeledTriple) -> float:
 
 
 def _ranked(
-    candidates: list[LabeledTriple], order: list[int] | np.ndarray, keys: np.ndarray, method: str
+    candidates: CandidateTable, order: np.ndarray, keys: np.ndarray, method: str
 ) -> list[RankedRow]:
     """Rows of the candidates listed in `order`, ranked 1..n in that order."""
-    keys = np.asarray(keys, dtype=np.float64).tolist()
+    keys = np.asarray(keys, dtype=np.float64)[order].tolist()
     return [
-        RankedRow(rank, candidates[i], keys[i], method)
-        for rank, i in enumerate(np.asarray(order, dtype=np.int64).tolist(), start=1)
+        RankedRow(rank, triple, key, method)
+        for rank, (triple, key) in enumerate(zip(candidates.triples(order), keys), start=1)
     ]
 
 
-def rank_grad(params: ScorerParams, candidates: list[LabeledTriple]) -> list[RankedRow]:
+def rank_grad(params: ScorerParams, candidates: CandidateTable) -> list[RankedRow]:
     """Descending exact gradient magnitude, ties in emission order; one backward pass each."""
-    keys = np.array([gradient_magnitude(params, triple) for triple in candidates])
+    keys = np.array([gradient_magnitude(params, triple) for triple in candidates.triples()])
     return _ranked(candidates, np.argsort(-keys, kind="stable"), keys, "grad")
 
 
-def rank_none(candidates: list[LabeledTriple], *, seed: int = 0) -> list[RankedRow]:
+def rank_none(candidates: CandidateTable, *, seed: int = 0) -> list[RankedRow]:
     """No-ranking ablation: a seeded shuffle with constant keys."""
     perm = np.random.default_rng([seed, 11]).permutation(len(candidates))
     return _ranked(candidates, perm, np.zeros(len(candidates)), "none")
@@ -174,7 +192,7 @@ def fit_mae_regressor(features: np.ndarray, targets: np.ndarray) -> GradientPred
 
 
 def fit_gradient_predictor(
-    params: ScorerParams, candidates: list[LabeledTriple], n: int, rng: np.random.Generator
+    params: ScorerParams, candidates: CandidateTable, n: int, rng: np.random.Generator
 ) -> GradientPredictor:
     """Fit the magnitude regressor on n uniformly sampled candidates.
 
@@ -185,19 +203,19 @@ def fit_gradient_predictor(
         raise ValueError(f"need at least 2 training candidates, got n={n}")
     if n > len(candidates):
         raise ValueError(f"n={n} exceeds candidate count {len(candidates)}")
-    chosen = [candidates[int(i)] for i in rng.choice(len(candidates), size=n, replace=False)]
-    features = encode_batch(params, chosen)
-    targets = np.array([gradient_magnitude(params, triple) for triple in chosen])
+    chosen = rng.choice(len(candidates), size=n, replace=False)
+    features = encode_rows(params, *_scorer_rows(params, candidates, chosen))
+    targets = np.array([gradient_magnitude(params, t) for t in candidates.triples(chosen)])
     if not np.isfinite(targets).all():
         raise ValueError("non-finite gradient magnitude among the predictor's training targets")
     return fit_mae_regressor(features, targets)
 
 
 def rank_grad_fast(
-    params: ScorerParams, predictor: GradientPredictor, candidates: list[LabeledTriple]
+    params: ScorerParams, predictor: GradientPredictor, candidates: CandidateTable
 ) -> list[RankedRow]:
     """Descending predicted gradient magnitude; forward passes only."""
-    keys = predictor.predict(encode_batch(params, candidates))
+    keys = predictor.predict(encode_rows(params, *_scorer_rows(params, candidates)))
     return _ranked(candidates, np.argsort(-keys, kind="stable"), keys, "grad-fast")
 
 

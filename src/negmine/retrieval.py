@@ -68,15 +68,3 @@ def knn(index: PhraseIndex, query: Phrase, k: int) -> list[tuple[Phrase, float]]
     order = np.argsort(sq, kind="stable")[:n_hits]
     return [(index.phrases[i], float(np.sqrt(sq[i]))) for i in order]
 
-
-def knn_brute_force(index: PhraseIndex, query: Phrase, k: int) -> list[tuple[Phrase, float]]:
-    """Naive full-scan oracle used to verify `knn` exactly."""
-    q = index.matrix[index.positions[query]]
-    scored = []
-    for i, phrase in enumerate(index.phrases):
-        if phrase == query:
-            continue
-        diff = index.matrix[i] - q
-        scored.append((float(np.sqrt(diff @ diff)), i, phrase))
-    scored.sort(key=lambda item: (item[0], item[1]))
-    return [(phrase, dist) for dist, _, phrase in scored[:k]]

@@ -8,12 +8,15 @@ mini-batch gradient descent with adaptive per-parameter step sizes. Exact
 analytic gradients over every parameter are exposed for gradient-based
 ranking.
 
-`encode`, `score` and `loss_and_gradient` work on one triple and are the
-reference. The batch paths encode each distinct phrase to token ids once,
-into a `PhraseTable`, and hold triples as int rows (head phrase id, relation
-token id, tail phrase id). Training pools a batch through its normalized
-token-count matrix `A` (batch x the batch's distinct tokens), so the forward
-pass is `A @ emb[ids]`, the embedding gradient is `A.T @ dm`, and the
+`loss_and_gradient` works on one triple and is the reference for the
+batch gradients; the tests hold the single-triple forward pass that the
+batch one is checked against. The batch paths encode each distinct phrase
+to token ids once, into a `PhraseTable`, and hold triples as int rows (head
+phrase id, relation token id, tail phrase id); `encode_rows` and
+`score_rows` take such rows, and `encode_batch` and `score_batch` make them
+from triples. Training pools a batch through its normalized token-count
+matrix `A` (batch x the batch's distinct tokens), so the forward pass is
+`A @ emb[ids]`, the embedding gradient is `A.T @ dm`, and the
 optimizer steps only those rows. Each epoch's rows are shuffled once; for
 every block of LAYOUT_BATCHES consecutive batches a `_TokenLayout` lists the
 token ids each row emits, and each batch's `A` is a slice of it. The training
@@ -236,33 +239,32 @@ def sigmoid(z):
     return out
 
 
-def encode(params: ScorerParams, triple: LabeledTriple) -> np.ndarray:
-    """Pooled H-vector: token-mean plus a residual feedforward correction.
+def encode_rows(params: ScorerParams, table: PhraseTable, rows: np.ndarray) -> np.ndarray:
+    """Pooled H-vectors of id rows over `table`, one row each, forward only.
 
-    With zero feedforward weights the layer is the identity, so the output
-    equals the token mean exactly.
+    Each is the triple's token mean plus a residual feedforward correction;
+    with zero feedforward weights it is the token mean exactly.
     """
-    ids = params.vocab.encode_triple(triple)
-    m = params.emb[ids].mean(axis=0)
-    return m + np.tanh(params.ff_w @ m + params.ff_b)
-
-
-def score(params: ScorerParams, triple: LabeledTriple) -> float:
-    return float(sigmoid(params.w @ encode(params, triple) + params.b))
-
-
-def encode_batch(params: ScorerParams, triples: list[LabeledTriple]) -> np.ndarray:
-    """`encode` of many triples, one row each, forward only."""
-    if not triples:
+    if not len(rows):
         return np.zeros((0, params.hidden_dim))
-    table = PhraseTable(params.vocab)
-    rows = table.encode(triples)
     _, h = _hidden(params, _pool_phrase_sums(params, table, rows))
     return h
 
 
+def score_rows(params: ScorerParams, table: PhraseTable, rows: np.ndarray) -> np.ndarray:
+    """Classification scores of id rows over `table`, forward only."""
+    return sigmoid(encode_rows(params, table, rows) @ params.w + params.b)
+
+
+def encode_batch(params: ScorerParams, triples: list[LabeledTriple]) -> np.ndarray:
+    """`encode_rows` of many triples, one row each."""
+    table = PhraseTable(params.vocab)
+    return encode_rows(params, table, table.encode(triples))
+
+
 def score_batch(params: ScorerParams, triples: list[LabeledTriple]) -> np.ndarray:
-    return sigmoid(encode_batch(params, triples) @ params.w + params.b)
+    table = PhraseTable(params.vocab)
+    return score_rows(params, table, table.encode(triples))
 
 
 def _mode_columns(modes: list[str]) -> np.ndarray:

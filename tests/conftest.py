@@ -1,15 +1,44 @@
-"""Shared test helpers: triple builders, corruption and recorded draws, checkpoint surgery, and the gradient oracle."""
+"""Shared test helpers: triple builders, corruption and recorded draws, checkpoint surgery,
+the single-triple forward pass, the brute-force kNN and the gradient oracle."""
 import json
 import math
 
 import numpy as np
 
 from negmine.kb import LabeledTriple, Phrase
-from negmine.scorer import _draw_corruptions, _mode_columns, score
+from negmine.scorer import _draw_corruptions, _mode_columns, sigmoid
 
 
 def make_triple(rel, head, tail, label=1):
     return LabeledTriple(Phrase.parse(head), rel, Phrase.parse(tail), label)
+
+
+def encode(params, triple):
+    """Pooled H-vector of one triple: token-mean plus a residual feedforward correction.
+
+    The reference for the batch forward pass. With zero feedforward weights
+    the layer is the identity, so the output equals the token mean exactly.
+    """
+    ids = params.vocab.encode_triple(triple)
+    m = params.emb[ids].mean(axis=0)
+    return m + np.tanh(params.ff_w @ m + params.ff_b)
+
+
+def score(params, triple):
+    return float(sigmoid(params.w @ encode(params, triple) + params.b))
+
+
+def knn_brute_force(index, query, k):
+    """Naive full-scan oracle used to verify `retrieval.knn` exactly."""
+    q = index.matrix[index.positions[query]]
+    scored = []
+    for i, phrase in enumerate(index.phrases):
+        if phrase == query:
+            continue
+        diff = index.matrix[i] - q
+        scored.append((float(np.sqrt(diff @ diff)), i, phrase))
+    scored.sort(key=lambda item: (item[0], item[1]))
+    return [(phrase, dist) for dist, _, phrase in scored[:k]]
 
 
 def corrupt(kb, positive, mode, rng):

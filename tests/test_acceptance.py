@@ -10,10 +10,10 @@ import time
 
 import numpy as np
 import pytest
-from conftest import dense_gradient, fd_gradient, t_tail_two_sided
+from conftest import dense_gradient, fd_gradient, knn_brute_force, t_tail_two_sided
 
 from negmine import cli
-from negmine.candidates import generate_candidates
+from negmine.candidates import CandidateTable, generate_candidates
 from negmine.evaluation import (
     EvaluationReport,
     ExperimentConfig,
@@ -29,7 +29,7 @@ from negmine.rankers import (
     rank_none,
     rank_theta,
 )
-from negmine.retrieval import build_index, knn, knn_brute_force
+from negmine.retrieval import build_index, knn
 from negmine.scorer import (
     TokenVocab,
     TrainConfig,
@@ -194,14 +194,15 @@ def test_criterion_5_gradient_predictor_fidelity(capsys, predictor_world):
     t_full = float("inf")
     for _ in range(3):
         start = time.perf_counter()
-        full = rank_grad(params, candidates)
+        full = rank_grad(params, CandidateTable.from_triples(candidates))
         t_full = min(t_full, time.perf_counter() - start)
     t_fast = float("inf")
     for _ in range(3):
         start = time.perf_counter()
         rng = np.random.default_rng([0, 40])
-        predictor = fit_gradient_predictor(params, candidates, 160, rng)
-        fast = rank_grad_fast(params, predictor, candidates)
+        table = CandidateTable.from_triples(candidates)
+        predictor = fit_gradient_predictor(params, table, 160, rng)
+        fast = rank_grad_fast(params, predictor, table)
         t_fast = min(t_fast, time.perf_counter() - start)
     true_key = {r.triple: r.key for r in full}
     fast_key = {r.triple: r.key for r in fast}
@@ -235,7 +236,9 @@ def planted_world():
     )
     thresholds = fit_thresholds(params, kb.splits.validation)
     index = build_index(list(kb.phrases), lambda p: embed_phrase(params, p))
-    candidates = [c.triple for c in generate_candidates(kb, index, k=14)]
+    candidates = CandidateTable.from_triples(
+        c.triple for c in generate_candidates(kb, index, k=14)
+    )
     ranked = {
         "negater-theta": rank_theta(params, thresholds, candidates, keep_fraction=1.0, seed=0),
         "negater-grad": rank_grad(params, candidates),

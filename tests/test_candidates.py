@@ -156,7 +156,7 @@ class TestCandidateTsv:
         assert out, "setup should produce candidates"
         path = tmp_path / "cands.tsv"
         write_candidates_tsv(out, path)
-        assert read_candidates_tsv(path) == out
+        assert list(read_candidates_tsv(path)) == out
 
     def test_layout(self, tmp_path):
         cand = Candidate(t("R", "x y", "b", 0), t("R", "a", "b"), HEAD, 2)

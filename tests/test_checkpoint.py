@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import rewrite_checkpoint_header
+from conftest import rewrite_checkpoint_header, score
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from negmine.checkpoint import MAGIC, VERSION, CheckpointError, load_checkpoint, save_checkpoint
@@ -56,8 +56,6 @@ class TestRoundTrip:
         assert thresholds is None
 
     def test_loaded_params_score_identically(self, tmp_path):
-        from negmine.scorer import score
-
         params = trained_params()
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, params)

@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from conftest import dense_gradient, fd_gradient, make_triple as t, spearman
+from conftest import dense_gradient, encode, fd_gradient, make_triple as t, score, spearman
 
 from negmine import rankers
+from negmine.candidates import CandidateTable
 from negmine.ioutil import ParseError
+from negmine.kb import Phrase
 from negmine.rankers import (
     RANK_METHODS,
     GradientPredictor,
@@ -25,12 +27,12 @@ from negmine.rankers import (
 from negmine.scorer import (
     ThresholdMap,
     TokenVocab,
-    encode,
     encode_batch,
     init_params,
-    score,
     score_batch,
 )
+
+from_triples = CandidateTable.from_triples
 
 
 def controlled_setup(score_logits, relation="R"):
@@ -87,12 +89,12 @@ def random_setup(n=30, seed=0, hidden_dim=4):
 class TestRankTheta:
     def test_empty(self):
         params, _ = controlled_setup([])
-        assert rank_theta(params, ThresholdMap(), []) == []
+        assert rank_theta(params, ThresholdMap(), from_triples([])) == []
 
     def test_filter_sort_ceil_example(self):
         params, candidates = controlled_setup([logit(0.7), logit(0.6), logit(0.2)])
         thresholds = ThresholdMap({"R": 0.65})
-        out = rank_theta(params, thresholds, candidates, keep_fraction=0.5)
+        out = rank_theta(params, thresholds, from_triples(candidates), keep_fraction=0.5)
         # Below-threshold pool is {0.6, 0.2}; ceil(0.5 x 2) = 1 kept, best first.
         assert len(out) == 1
         assert out[0].triple == candidates[1]
@@ -101,7 +103,9 @@ class TestRankTheta:
 
     def test_no_filter_keep_all_sorted(self):
         params, candidates = controlled_setup([logit(0.3), logit(0.8), logit(0.5)])
-        out = by_rank(rank_theta(params, ThresholdMap({"R": 1.0}), candidates, keep_fraction=1.0))
+        out = by_rank(
+            rank_theta(params, ThresholdMap({"R": 1.0}), from_triples(candidates), keep_fraction=1.0)
+        )
         assert [rc.triple for rc in out] == [candidates[1], candidates[2], candidates[0]]
         assert [rc.rank for rc in out] == [1, 2, 3]
         keys = [rc.key for rc in out]
@@ -110,13 +114,15 @@ class TestRankTheta:
     def test_never_keeps_above_threshold(self):
         params, candidates = random_setup(n=40, seed=3)
         thresholds = ThresholdMap({"R": 0.55, "S": 0.5}, fallback=0.5)
-        for rc in rank_theta(params, thresholds, candidates, keep_fraction=1.0):
+        for rc in rank_theta(params, thresholds, from_triples(candidates), keep_fraction=1.0):
             assert rc.key <= thresholds.threshold_for(rc.triple.relation)
             assert rc.key == pytest.approx(score(params, rc.triple), rel=1e-12)
 
     def test_ranks_are_permutation_and_keys_sorted_within_pool(self):
         params, candidates = random_setup(n=50, seed=4)
-        out = rank_theta(params, ThresholdMap(fallback=0.9), candidates, keep_fraction=0.8, seed=5)
+        out = rank_theta(
+            params, ThresholdMap(fallback=0.9), from_triples(candidates), keep_fraction=0.8, seed=5
+        )
         assert sorted(rc.rank for rc in out) == list(range(1, len(out) + 1))
         by_rel: dict = {}
         for rc in out:
@@ -129,9 +135,9 @@ class TestRankTheta:
     def test_shuffle_seeded_and_rank_recovers_order(self):
         params, candidates = random_setup(n=30, seed=6)
         thresholds = ThresholdMap(fallback=1.0)
-        a = rank_theta(params, thresholds, candidates, seed=1)
-        b = rank_theta(params, thresholds, candidates, seed=1)
-        c = rank_theta(params, thresholds, candidates, seed=2)
+        a = rank_theta(params, thresholds, from_triples(candidates), seed=1)
+        b = rank_theta(params, thresholds, from_triples(candidates), seed=1)
+        c = rank_theta(params, thresholds, from_triples(candidates), seed=2)
         assert a == b
         assert {rc.triple for rc in a} == {rc.triple for rc in c}
         assert [rc.triple for rc in a] != [rc.triple for rc in c]
@@ -149,14 +155,16 @@ class TestRankTheta:
 
     def test_score_ties_break_by_emission_order(self):
         params, candidates = controlled_setup([logit(0.4), logit(0.4), logit(0.4)])
-        out = by_rank(rank_theta(params, ThresholdMap({"R": 0.9}), candidates, keep_fraction=1.0))
+        out = by_rank(
+            rank_theta(params, ThresholdMap({"R": 0.9}), from_triples(candidates), keep_fraction=1.0)
+        )
         assert [rc.triple for rc in out] == candidates
 
     def test_keep_fraction_validated(self):
         params, candidates = controlled_setup([logit(0.4)])
         for bad in (0.0, -0.5, 1.5):
             with pytest.raises(ValueError):
-                rank_theta(params, ThresholdMap(), candidates, keep_fraction=bad)
+                rank_theta(params, ThresholdMap(), from_triples(candidates), keep_fraction=bad)
 
 
 class TestGradientMagnitude:
@@ -179,12 +187,12 @@ class TestGradientMagnitude:
 class TestRankGrad:
     def test_singleton(self):
         params, candidates = random_setup(n=1, seed=11)
-        out = rank_grad(params, candidates)
+        out = rank_grad(params, from_triples(candidates))
         assert len(out) == 1 and out[0].rank == 1
 
     def test_descending_order_matches_recompute(self):
         params, candidates = random_setup(n=25, seed=12)
-        out = rank_grad(params, candidates)
+        out = rank_grad(params, from_triples(candidates))
         keys = np.array([gradient_magnitude(params, c) for c in candidates])
         expected = np.argsort(-keys, kind="stable")
         assert [rc.triple for rc in out] == [candidates[int(i)] for i in expected]
@@ -197,14 +205,14 @@ class TestRankGrad:
         keys = [gradient_magnitude(params, c) for c in candidates]
         assert len(set(keys)) == len(keys), "setup assumes distinct keys"
         shuffled = [candidates[i] for i in np.random.default_rng(0).permutation(len(candidates))]
-        a = [rc.triple for rc in rank_grad(params, candidates)]
-        b = [rc.triple for rc in rank_grad(params, shuffled)]
+        a = [rc.triple for rc in rank_grad(params, from_triples(candidates))]
+        b = [rc.triple for rc in rank_grad(params, from_triples(shuffled))]
         assert a == b
 
     def test_counts_backward_passes(self):
         params, candidates = random_setup(n=9, seed=15)
         before = params.grad_evals
-        rank_grad(params, candidates)
+        rank_grad(params, from_triples(candidates))
         assert params.grad_evals == before + 9
 
 
@@ -227,14 +235,14 @@ class TestOracleCalls:
     def test_rank_grad_calls_once_per_candidate(self, calls):
         params, candidates = random_setup(n=12, seed=23)
         before = params.grad_evals
-        rank_grad(params, candidates)
+        rank_grad(params, from_triples(candidates))
         assert calls == [(c, 1) for c in candidates]
         assert params.grad_evals == before + len(candidates)
 
     def test_fit_gradient_predictor_calls_n_times(self, calls):
         params, candidates = random_setup(n=30, seed=24)
         before = params.grad_evals
-        fit_gradient_predictor(params, candidates, 11, np.random.default_rng(9))
+        fit_gradient_predictor(params, from_triples(candidates), 11, np.random.default_rng(9))
         assert len(calls) == 11 and len({c for c, _ in calls}) == 11
         assert {label for _, label in calls} == {1}
         assert params.grad_evals == before + 11
@@ -245,9 +253,9 @@ class TestPredictor:
         params, candidates = random_setup(n=10, seed=16)
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            fit_gradient_predictor(params, candidates, 1, rng)
+            fit_gradient_predictor(params, from_triples(candidates), 1, rng)
         with pytest.raises(ValueError):
-            fit_gradient_predictor(params, candidates, 11, rng)
+            fit_gradient_predictor(params, from_triples(candidates), 11, rng)
 
     def test_constant_targets_fit_exactly(self):
         rng = np.random.default_rng(1)
@@ -278,7 +286,7 @@ class TestPredictor:
     def test_fit_on_sampled_candidates_correlates(self):
         params, candidates = random_setup(n=200, seed=17)
         rng = np.random.default_rng(5)
-        model = fit_gradient_predictor(params, candidates, 150, rng)
+        model = fit_gradient_predictor(params, from_triples(candidates), 150, rng)
         assert model.n_train == 150
         true = [gradient_magnitude(params, c) for c in candidates]
         predicted = model.predict(encode_batch(params, candidates))
@@ -286,7 +294,8 @@ class TestPredictor:
 
     def test_diagnostics_populated(self):
         params, candidates = random_setup(n=30, seed=18)
-        model = fit_gradient_predictor(params, candidates, 20, np.random.default_rng(6))
+        rng = np.random.default_rng(6)
+        model = fit_gradient_predictor(params, from_triples(candidates), 20, rng)
         assert model.n_train == 20
         assert math.isfinite(model.train_mae)
 
@@ -306,17 +315,78 @@ class TestEncodeCandidates:
         np.testing.assert_allclose(encode_batch(params, triples), expected, rtol=1e-12)
 
 
+class TestRowPath:
+    """The rankers pool a candidate table's id rows; their keys are bit for bit
+    those of the triple path (`score_batch`, `encode_batch`) over the decoded
+    triples, whatever the order of the table's phrases."""
+
+    @staticmethod
+    def world():
+        vocab = TokenVocab(["R", "S"], ["a", "b", "c", "d"])
+        params = init_params(vocab, hidden_dim=6, seed=31)
+        params.ff_b[:] = np.random.default_rng(32).normal(size=6)
+        triples = [
+            t("R", "a b c", "d", 0),  # multi-token head
+            t("S", "d", "a b c", 0),  # the same phrase in the other slot
+            t("R", "zzz", "a qqq", 0),  # out-of-vocabulary words
+            t("T", "b", "b", 0),  # out-of-vocabulary relation; one phrase in both slots
+            t("S", "c a b a", "a", 0),  # repeated tokens
+            t("R", "d", "c a b a", 0),
+            t("S", "b", "unk d", 0),
+            t("R", "a", "a b c", 0),
+        ]
+        rows = from_triples(triples)
+        # Reversed phrases, plus one no row uses, as a file's sources add them.
+        phrases = rows.phrases[::-1] + (Phrase.parse("extra words"),)
+        remap = np.arange(len(rows.phrases))[::-1]
+        ids = rows.rows.copy()
+        ids[:, [0, 2]] = remap[ids[:, [0, 2]]]
+        table = CandidateTable(phrases, rows.relations, ids)
+        assert table.triples() == triples
+        return params, table, triples
+
+    def test_theta_keys_are_score_batch(self):
+        params, table, triples = self.world()
+        out = rank_theta(params, ThresholdMap(fallback=1.0), table, keep_fraction=1.0)
+        assert len(out) == len(triples)
+        expected = dict(zip(triples, score_batch(params, triples)))
+        np.testing.assert_array_equal([r.key for r in out], [expected[r.triple] for r in out])
+
+    def test_grad_fast_keys_are_predict_of_encode_batch(self):
+        params, table, triples = self.world()
+        model = fit_gradient_predictor(params, table, 5, np.random.default_rng(33))
+        out = rank_grad_fast(params, model, table)
+        expected = dict(zip(triples, model.predict(encode_batch(params, triples))))
+        np.testing.assert_array_equal([r.key for r in out], [expected[r.triple] for r in out])
+
+    def test_predictor_features_are_encode_batch(self, monkeypatch):
+        params, table, triples = self.world()
+        fitted = []
+        fit = rankers.fit_mae_regressor
+        monkeypatch.setattr(
+            rankers, "fit_mae_regressor", lambda x, y: fitted.append((x, y)) or fit(x, y)
+        )
+        fit_gradient_predictor(params, table, 5, np.random.default_rng(34))
+        chosen = [triples[i] for i in np.random.default_rng(34).choice(8, size=5, replace=False)]
+        (features, targets), = fitted
+        np.testing.assert_array_equal(features, encode_batch(params, chosen))
+        np.testing.assert_array_equal(
+            targets, [gradient_magnitude(params, triple) for triple in chosen]
+        )
+
+
 class TestRankGradFast:
     def test_dimension_mismatch(self):
         params, candidates = random_setup(n=5, seed=19, hidden_dim=4)
         with pytest.raises(ValueError, match="dimension"):
-            rank_grad_fast(params, GradientPredictor(6), candidates)
+            rank_grad_fast(params, GradientPredictor(6), from_triples(candidates))
 
     def test_no_backward_passes(self):
         params, candidates = random_setup(n=30, seed=20)
-        model = fit_gradient_predictor(params, candidates, 20, np.random.default_rng(7))
+        rng = np.random.default_rng(7)
+        model = fit_gradient_predictor(params, from_triples(candidates), 20, rng)
         before = params.grad_evals
-        rank_grad_fast(params, model, candidates)
+        rank_grad_fast(params, model, from_triples(candidates))
         assert params.grad_evals == before
 
     def test_exact_predictor_reproduces_rank_grad(self):
@@ -328,15 +398,16 @@ class TestRankGradFast:
                 assert features.shape == (len(candidates), params.hidden_dim)
                 return true.copy()
 
-        out_fast = rank_grad_fast(params, Exact(params.hidden_dim), candidates)
-        out_full = rank_grad(params, candidates)
+        out_fast = rank_grad_fast(params, Exact(params.hidden_dim), from_triples(candidates))
+        out_full = rank_grad(params, from_triples(candidates))
         assert [rc.triple for rc in out_fast] == [rc.triple for rc in out_full]
 
     def test_trained_predictor_rank_agreement(self):
         params, candidates = random_setup(n=150, seed=22)
-        model = fit_gradient_predictor(params, candidates, 120, np.random.default_rng(8))
-        full = rank_grad(params, candidates)
-        fast = rank_grad_fast(params, model, candidates)
+        rng = np.random.default_rng(8)
+        model = fit_gradient_predictor(params, from_triples(candidates), 120, rng)
+        full = rank_grad(params, from_triples(candidates))
+        fast = rank_grad_fast(params, model, from_triples(candidates))
         pos_full = {rc.triple: rc.rank for rc in full}
         pos_fast = {rc.triple: rc.rank for rc in fast}
         rho = spearman(
@@ -348,16 +419,17 @@ class TestRankGradFast:
 class TestRankNone:
     def test_permutation_with_constant_keys(self):
         _, candidates = random_setup(n=12, seed=23)
-        out = rank_none(candidates, seed=1)
+        out = rank_none(from_triples(candidates), seed=1)
         assert sorted(rc.rank for rc in out) == list(range(1, 13))
         assert all(rc.key == 0.0 for rc in out)
         assert {rc.triple for rc in out} == set(candidates)
 
     def test_seeded(self):
         _, candidates = random_setup(n=12, seed=24)
-        assert rank_none(candidates, seed=3) == rank_none(candidates, seed=3)
-        assert [rc.triple for rc in rank_none(candidates, seed=3)] != [
-            rc.triple for rc in rank_none(candidates, seed=4)
+        table = from_triples(candidates)
+        assert rank_none(table, seed=3) == rank_none(table, seed=3)
+        assert [rc.triple for rc in rank_none(table, seed=3)] != [
+            rc.triple for rc in rank_none(table, seed=4)
         ]
 
 
@@ -402,14 +474,15 @@ class TestRankedRow:
 def ranked_by(method):
     """Rows of one ranking method over the same small candidate pool."""
     params, candidates = random_setup(n=8, seed=26)
+    table = from_triples(candidates)
     if method == "theta":
-        return rank_theta(params, ThresholdMap(fallback=1.0), candidates, 1.0, seed=3)
+        return rank_theta(params, ThresholdMap(fallback=1.0), table, 1.0, seed=3)
     if method == "grad":
-        return rank_grad(params, candidates)
+        return rank_grad(params, table)
     if method == "grad-fast":
-        model = fit_gradient_predictor(params, candidates, 6, np.random.default_rng(9))
-        return rank_grad_fast(params, model, candidates)
-    return rank_none(candidates, seed=3)
+        model = fit_gradient_predictor(params, table, 6, np.random.default_rng(9))
+        return rank_grad_fast(params, model, table)
+    return rank_none(table, seed=3)
 
 
 class TestRankedTsv:

@@ -110,3 +110,61 @@ class TestReadLines:
         path.write_text("1\n\nx\n", encoding="utf-8")
         with pytest.raises(ParseError, match=r"a\.tsv:3: invalid literal"):
             list(read_lines(path, int))
+
+
+# A good candidate line, then each way a line can be bad, with the exact
+# message the reader reports for it.
+GOOD_CANDIDATE = "R\ta b\tc\ta d\tc\thead\t1\n"
+BAD_CANDIDATES = {
+    "field count": ("R\ta\tc\ta\td\thead\n", "expected 7 fields, got 6"),
+    "rank not an integer": ("R\tx\tc\ta d\tc\thead\tone\n", "bad neighbor_rank 'one'"),
+    "rank a float": ("R\tx\tc\ta d\tc\thead\t1.0\n", "bad neighbor_rank '1.0'"),
+    "rank 0": ("R\tx\tc\ta d\tc\thead\t0\n", "neighbor_rank is 1-based"),
+    "unknown slot": ("R\tx\tc\ta d\tc\tmiddle\t1\n", "unknown slot 'middle'"),
+    "empty head": ("R\t\tc\ta d\tc\thead\t1\n", "phrase must have at least one token"),
+    "blank tail": ("R\tx\t  \ta d\tc\thead\t1\n", "phrase must have at least one token"),
+    "empty source": ("R\tx\tc\t\tc\thead\t1\n", "phrase must have at least one token"),
+    "repeated triple": (GOOD_CANDIDATE, "duplicate candidate triple 'R' 'a b' 'c'"),
+    "case and spacing variant": (
+        "R\tA  b\tC\ta e\tc\thead\t2\n",
+        "duplicate candidate triple 'R' 'A  b' 'C'",
+    ),
+}
+
+
+class TestCandidateReaderFailsClosed:
+    """Each bad line fails at its own line with its own message, and the
+    first bad line of a file is the one reported."""
+
+    @pytest.mark.parametrize("case", sorted(BAD_CANDIDATES))
+    def test_bad_line_named(self, tmp_path, case):
+        line, message = BAD_CANDIDATES[case]
+        path = tmp_path / "cands.tsv"
+        path.write_text("# candidates\n" + GOOD_CANDIDATE + line, encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            read_candidates_tsv(path)
+        assert str(info.value) == f"{path}:3: {message}"
+
+    @pytest.mark.parametrize("case", sorted(BAD_CANDIDATES))
+    def test_first_of_two_bad_lines(self, tmp_path, case):
+        line, message = BAD_CANDIDATES[case]
+        path = tmp_path / "cands.tsv"
+        later = "R\tz\tc\ta d\tc\ttail\t-1\n"
+        path.write_text(GOOD_CANDIDATE + line + later + "R\tx\n", encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            read_candidates_tsv(path)
+        assert str(info.value) == f"{path}:2: {message}"
+
+    def test_undecodable_byte(self, tmp_path):
+        path = tmp_path / "cands.tsv"
+        path.write_bytes(GOOD_CANDIDATE.encode() + b"R\tcaf\xe9\tc\ta d\tc\thead\t1\n")
+        with pytest.raises(ParseError) as info:
+            read_candidates_tsv(path)
+        assert str(info.value) == f"{path}:2: byte 0xe9 at column 6 is not UTF-8"
+
+    def test_rank_beyond_int64(self, tmp_path):
+        path = tmp_path / "cands.tsv"
+        path.write_text("R\tx\tc\ta d\tc\thead\t9223372036854775808\n", encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            read_candidates_tsv(path)
+        assert str(info.value) == f"{path}:1: neighbor_rank 9223372036854775808 out of range"

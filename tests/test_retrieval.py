@@ -1,9 +1,10 @@
 """Exact nearest-neighbor search checked against a naive full scan."""
 import numpy as np
 import pytest
+from conftest import knn_brute_force
 
 from negmine.kb import Phrase
-from negmine.retrieval import build_index, knn, knn_brute_force
+from negmine.retrieval import build_index, knn
 
 
 def phrases(n):

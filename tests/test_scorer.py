@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import corrupt
+from conftest import corrupt, encode, score
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -27,11 +27,9 @@ from negmine.scorer import (
     _TokenLayout,
     best_threshold,
     embed_phrase,
-    encode,
     fit_thresholds,
     init_params,
     loss_and_gradient,
-    score,
     score_batch,
     sigmoid,
     train_contrastive,
