@@ -10,12 +10,14 @@ Generation runs on the KB's integer view (`KnowledgeBase.ids`): neighbor
 lists become KB phrase ids, candidates become packed int64 triple keys, and
 filters (a)-(c) are array operations over blocks of positives.
 
-A candidate file reads back as a `CandidateTable`: integer rows over the
-file's distinct phrases and relations, which the rankers take as they are.
+Candidates travel as a `CandidateTable`, integer rows over distinct phrases
+and relations: `generate_candidates` returns one over the KB's ids,
+`write_candidates_tsv` formats its columns, and `read_candidates_tsv` parses
+a file back into one, which the rankers take as it is.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -57,8 +59,8 @@ class CandidateTable(Sequence[Candidate]):
     indexes `SLOTS`, and `neighbor_ranks[i]` is 1-based. A table made by
     `from_triples` has no substitution columns (they are None).
 
-    The table reads as a sequence of `Candidate`, each decoded on access;
-    `triples` decodes only the rows asked for.
+    The table reads as a sequence of `Candidate`, decoded on access (all rows
+    in one pass when iterated); `triples` decodes only the rows asked for.
     """
 
     phrases: tuple[Phrase, ...]
@@ -70,7 +72,10 @@ class CandidateTable(Sequence[Candidate]):
 
     @classmethod
     def from_triples(cls, triples: Iterable[LabeledTriple]) -> "CandidateTable":
-        """A table of the triples' statements, in order, without substitution columns."""
+        """A table of the label-0 triples' statements, in order, without substitution columns."""
+        triples = list(triples)
+        if any(t.label for t in triples):
+            raise ValueError("candidate triples are negatives, got label 1")
         phrase_ids: dict[Phrase, int] = {}
         relation_ids: dict[str, int] = {}
         flat = [
@@ -88,6 +93,13 @@ class CandidateTable(Sequence[Candidate]):
     def __len__(self) -> int:
         return len(self.rows)
 
+    def take(self, indices: np.ndarray) -> "CandidateTable":
+        """The table of rows `indices`, in that order, over the same phrases and relations."""
+        columns = (self.rows, self.sources, self.slots, self.neighbor_ranks)
+        return CandidateTable(
+            self.phrases, self.relations, *(None if c is None else c[indices] for c in columns)
+        )
+
     def triples(self, indices: Iterable[int] | np.ndarray | None = None) -> list[LabeledTriple]:
         """The label-0 triples of rows `indices` (every row by default), in that order."""
         rows = self.rows if indices is None else self.rows[np.asarray(indices, dtype=np.int64)]
@@ -96,17 +108,35 @@ class CandidateTable(Sequence[Candidate]):
             LabeledTriple(phrases[h], relations[r], phrases[t], 0) for h, r, t in rows.tolist()
         ]
 
-    def __getitem__(self, i: int) -> Candidate:
+    def _candidates(self, indices: np.ndarray) -> list[Candidate]:
         if self.sources is None:
             raise ValueError("a table made from triples holds no substitutions")
-        (triple,) = self.triples([i])
-        head, tail = self.sources[i].tolist()
-        source = LabeledTriple(self.phrases[head], triple.relation, self.phrases[tail], 1)
-        return Candidate(triple, source, SLOTS[self.slots[i]], int(self.neighbor_ranks[i]))
+        phrases = self.phrases
+        return [
+            Candidate(
+                triple,
+                LabeledTriple(phrases[head], triple.relation, phrases[tail], 1),
+                SLOTS[slot],
+                rank,
+            )
+            for triple, (head, tail), slot, rank in zip(
+                self.triples(indices),
+                self.sources[indices].tolist(),
+                self.slots[indices].tolist(),
+                self.neighbor_ranks[indices].tolist(),
+            )
+        ]
+
+    def __getitem__(self, i: int) -> Candidate:
+        (candidate,) = self._candidates(np.asarray([i], dtype=np.int64))
+        return candidate
+
+    def __iter__(self) -> Iterator[Candidate]:
+        return iter(self._candidates(np.arange(len(self))))
 
 
-def generate_candidates(kb: KnowledgeBase, index: PhraseIndex, k: int) -> list[Candidate]:
-    """All filtered substitution candidates, in deterministic order.
+def generate_candidates(kb: KnowledgeBase, index: PhraseIndex, k: int) -> CandidateTable:
+    """All filtered substitution candidates, in deterministic order, as a table over `kb.ids`.
 
     Order: positives in KB order; head substitutions before tail; neighbors
     by ascending distance. Duplicate candidate triples keep their first
@@ -116,21 +146,20 @@ def generate_candidates(kb: KnowledgeBase, index: PhraseIndex, k: int) -> list[C
     The work is done on the KB's integer view (`kb.ids`): `knn` runs once per
     KB phrase, each block of positives expands to a (positive, slot,
     neighbor rank) grid of packed triple keys, and the slot filter and the
-    KB membership test are binary searches over packed keys. `Candidate`
-    objects are made only for the survivors.
+    KB membership test are binary searches over packed keys. The table's
+    columns are gathered from the surviving grid positions.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     ids = kb.ids
     # Row i: the k-NN list of KB phrase i as KB phrase ids, -1 for a neighbor
-    # the KB does not store (no slot admits it) and as padding.
+    # the KB does not store (no slot admits it) and as padding. At least one
+    # column, so that an empty neighbor list still makes a grid.
     lists = [
         [kb.phrase_positions.get(p, -1) for p, _ in knn(index, phrase, k)]
         for phrase in kb.phrases
     ]
-    width = max(map(len, lists), default=0)
-    if width == 0:
-        return []
+    width = max(1, max(map(len, lists), default=0))
     neighbors = np.full((len(lists), width), -1, dtype=np.int64)
     for i, row in enumerate(lists):
         neighbors[i, : len(row)] = row
@@ -140,7 +169,8 @@ def generate_candidates(kb: KnowledgeBase, index: PhraseIndex, k: int) -> list[C
     cells = 2 * width
     block = max(1, _BLOCK_CELLS // cells)
     slot = np.arange(2)[None, :, None]
-    positions, keys, replacements = [], [], []
+    empty = np.zeros(0, dtype=np.int64)
+    positions, keys, replacements = [empty], [empty], [empty]
     for start in range(0, len(ids.rows), block):
         h, r, t = ids.rows[start : start + block].T
         sub = np.stack([neighbors[h], neighbors[t]], axis=1)
@@ -157,17 +187,12 @@ def generate_candidates(kb: KnowledgeBase, index: PhraseIndex, k: int) -> list[C
     # first occurrence.
     _, first = np.unique(np.concatenate(keys), return_index=True)
     first.sort()
-    positions = np.concatenate(positions)[first]
-    replacements = np.concatenate(replacements)[first]
-    out: list[Candidate] = []
-    for position, replacement in zip(positions.tolist(), replacements.tolist()):
-        positive_id, cell = divmod(position, cells)
-        slot_id, rank = divmod(cell, width)
-        positive = kb.triples[positive_id]
-        slot_name = SLOTS[slot_id]
-        triple = positive.replace(slot_name, kb.phrases[replacement], label=0)
-        out.append(Candidate(triple, positive, slot_name, rank + 1))
-    return out
+    positive_ids, cell = np.divmod(np.concatenate(positions)[first], cells)
+    slots, ranks = np.divmod(cell, width)
+    sources = ids.rows[positive_ids]
+    rows = sources.copy()
+    rows[np.arange(len(rows)), 2 * slots] = np.concatenate(replacements)[first]
+    return CandidateTable(ids.phrases, ids.relations, rows, sources[:, [0, 2]], slots, ranks + 1)
 
 
 @dataclass
@@ -210,22 +235,19 @@ def validate_candidates(
     return report
 
 
-def write_candidates_tsv(candidates: list[Candidate], path: str | Path) -> None:
-    lines = []
-    for c in candidates:
-        lines.append(
-            "\t".join(
-                [
-                    c.triple.relation,
-                    c.triple.head.text,
-                    c.triple.tail.text,
-                    c.source.head.text,
-                    c.source.tail.text,
-                    c.slot,
-                    str(c.neighbor_rank),
-                ]
-            )
+def write_candidates_tsv(candidates: CandidateTable, path: str | Path) -> None:
+    """One line per row: `relation head tail source_head source_tail slot neighbor_rank`."""
+    texts = [p.text for p in candidates.phrases]
+    relations = candidates.relations
+    lines = [
+        f"{relations[r]}\t{texts[h]}\t{texts[t]}\t{texts[sh]}\t{texts[st]}\t{SLOTS[slot]}\t{rank}"
+        for (h, r, t), (sh, st), slot, rank in zip(
+            candidates.rows.tolist(),
+            candidates.sources.tolist(),
+            candidates.slots.tolist(),
+            candidates.neighbor_ranks.tolist(),
         )
+    ]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

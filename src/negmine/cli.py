@@ -260,15 +260,15 @@ def cmd_sample(config: PipelineConfig, dry_run: bool) -> None:
 
 def _load_ranked_rows(config: PipelineConfig):
     path = _require(config.ranked_path(), "ranked file")
-    rows = read_ranked_tsv(path)
+    ranked = read_ranked_tsv(path)
     allowed = RANKED_METHODS_FOR[config.sampler]
-    bad = sorted({row.method for row in rows} - set(allowed))
+    bad = sorted(set(ranked.methods.tolist()) - set(allowed))
     if bad:
         raise ValueError(
             f"ranked file {path} was produced by method {bad[0]!r}, "
             f"but sampler {config.sampler} expects one of {allowed}"
         )
-    return rows
+    return ranked
 
 
 def cmd_evaluate(config: PipelineConfig, dry_run: bool) -> None:

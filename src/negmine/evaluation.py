@@ -5,6 +5,9 @@ positive, trains a fresh classifier per trial, fits per-relation thresholds
 on the validation split, and scores the held-out test split. Reports carry
 per-trial accuracy/precision/recall, their means and standard deviations,
 and two-sided Welch t-test p-values against a named baseline sampler.
+
+A ranked source is a `RankedTable`: each trial pairs positives with rows of
+it by relation (`assign_ranked`) and decodes only the rows it draws.
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ import numpy as np
 
 from .ioutil import ParseError, atomic_write_text, derive_seed, format_float, read_lines
 from .kb import KnowledgeBase, LabeledTriple
-from .rankers import RankedRow
+from .rankers import RankedTable
 from .samplers import (
     AntonymLexicon,
     EntityGraph,
@@ -254,7 +257,7 @@ class ExperimentConfig:
     seed: int = 0
     hops: int = 2
     lexicon: AntonymLexicon | None = None
-    ranked: Sequence[RankedRow] | None = None
+    ranked: RankedTable | None = None
     baseline: str = "uniform"
 
     def __post_init__(self):
@@ -279,11 +282,11 @@ class ExperimentConfig:
 
 
 def assign_ranked(
-    positives: Sequence[LabeledTriple],
-    negatives: Sequence[LabeledTriple],
+    positive_relations: Sequence[str],
+    negative_relations: Sequence[str],
     per_positive: int = 1,
-) -> list[LabeledTriple]:
-    """Pair each positive with the next unconsumed negatives, best first.
+) -> list[int]:
+    """Indices of the negatives paired with each positive in turn, best first.
 
     Consumption follows the ranked list order; each positive prefers the
     earliest remaining negative of its own relation and falls back to the
@@ -291,35 +294,35 @@ def assign_ranked(
     the number of uncovered draws.
     """
     by_relation: dict[str, deque[int]] = {}
-    for i, neg in enumerate(negatives):
-        by_relation.setdefault(neg.relation, deque()).append(i)
-    consumed = [False] * len(negatives)
+    for i, relation in enumerate(negative_relations):
+        by_relation.setdefault(relation, deque()).append(i)
+    consumed = [False] * len(negative_relations)
     cursor = 0
-    out: list[LabeledTriple] = []
+    out: list[int] = []
     shortfall = 0
-    for positive in positives:
+    for relation in positive_relations:
         for _ in range(per_positive):
             index = None
-            queue = by_relation.get(positive.relation)
+            queue = by_relation.get(relation)
             if queue is not None:
                 while queue and consumed[queue[0]]:
                     queue.popleft()
                 if queue:
                     index = queue.popleft()
             if index is None:
-                while cursor < len(negatives) and consumed[cursor]:
+                while cursor < len(consumed) and consumed[cursor]:
                     cursor += 1
-                if cursor < len(negatives):
+                if cursor < len(consumed):
                     index = cursor
             if index is None:
                 shortfall += 1
                 continue
             consumed[index] = True
-            out.append(negatives[index])
+            out.append(index)
     if shortfall:
         raise ValueError(
             f"ranked negatives exhausted: {shortfall} of "
-            f"{len(positives) * per_positive} draws uncovered"
+            f"{len(positive_relations) * per_positive} draws uncovered"
         )
     return out
 
@@ -332,9 +335,12 @@ def _draw_negatives(
 ) -> list[LabeledTriple]:
     train = kb.splits.train
     if config.sampler in RANKED_SAMPLERS:
-        return assign_ranked(
-            train, [row.triple for row in config.ranked], config.negatives_per_positive
+        ranked = config.ranked.candidates
+        relations = [ranked.relations[r] for r in ranked.rows[:, 1].tolist()]
+        chosen = assign_ranked(
+            [t.relation for t in train], relations, config.negatives_per_positive
         )
+        return ranked.triples(chosen)
     # Salt 50: a stream no other draw of the trial uses. Every sampler draws
     # from it alone, positives in order.
     rng = np.random.default_rng([trial_seed, 50])

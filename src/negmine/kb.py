@@ -142,8 +142,16 @@ class KnowledgeBase:
                     phrases.append(p)
         self.phrases: tuple[Phrase, ...] = tuple(phrases)
         self.phrase_positions: dict[Phrase, int] = {p: i for i, p in enumerate(phrases)}
-        self.slot_index: dict[tuple[str, str], frozenset[Phrase]] = build_slot_index(positives)
         self.splits = splits if splits is not None else Splits(list(positives), [], [])
+
+    @cached_property
+    def slot_index(self) -> dict[tuple[str, str], frozenset[Phrase]]:
+        """(relation, slot) -> phrases seen there among stored positives, built on first use."""
+        index: dict[tuple[str, str], set[Phrase]] = defaultdict(set)
+        for t in self.triples:
+            index[(t.relation, HEAD)].add(t.head)
+            index[(t.relation, TAIL)].add(t.tail)
+        return {k: frozenset(v) for k, v in index.items()}
 
     def slot_phrases(self, relation: str, slot: str) -> frozenset[Phrase]:
         """Phrases observed in `slot` of `relation` among stored positives."""
@@ -248,14 +256,6 @@ class IdView:
         size[relations < 0] = 0
         at = np.searchsorted(self.slot_keys, first + phrases) - start
         return start, size, np.where(self.slot_allows(relations, slot, phrases), at, -1)
-
-
-def build_slot_index(triples: list[LabeledTriple]) -> dict[tuple[str, str], frozenset[Phrase]]:
-    index: dict[tuple[str, str], set[Phrase]] = defaultdict(set)
-    for t in triples:
-        index[(t.relation, HEAD)].add(t.head)
-        index[(t.relation, TAIL)].add(t.tail)
-    return {k: frozenset(v) for k, v in index.items()}
 
 
 def load_tsv(

@@ -1,27 +1,30 @@
 """Rank candidate negatives by contradiction strength.
 
-Every ranker takes a `CandidateTable` and returns `RankedRow`s, the rows
-that `write_ranked_tsv` writes and `read_ranked_tsv` reads back. Forward
-passes pool the table's id rows directly, and a ranker decodes to triples
-only the rows it returns, plus those its backward passes take. Four
-methods: `theta`, the classification score among the below-threshold pool
-("almost positive" first); `grad`, the L2 magnitude of the loss gradient
-under a forced positive label (larger means the statement fights the trained
-beliefs harder); `grad-fast`, a linear least-squares fit on a sample of exact
-norms that predicts the other magnitudes from pooled vectors, skipping their
-backward passes; and `none`, a seeded shuffle, the no-ranking ablation.
+Every ranker takes a `CandidateTable` and returns a `RankedTable`: the
+candidate rows in list order plus rank, key and method columns, which
+`write_ranked_tsv` writes and `read_ranked_tsv` reads back. Forward passes
+pool the table's id rows directly, and a ranker decodes to triples only the
+rows its backward passes take. Four methods: `theta`, the classification
+score among the below-threshold pool ("almost positive" first); `grad`, the
+L2 magnitude of the loss gradient under a forced positive label (larger
+means the statement fights the trained beliefs harder); `grad-fast`, a
+linear least-squares fit on a sample of exact norms that predicts the other
+magnitudes from pooled vectors, skipping their backward passes; and `none`,
+a seeded shuffle, the no-ranking ablation.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .candidates import CandidateTable
+from .candidates import CandidateTable, _PhraseIds
 from .ioutil import ParseError, atomic_write_text, format_float, read_lines
-from .kb import LabeledTriple, Phrase, intern_phrase
+from .kb import LabeledTriple
 from .scorer import (  # noqa: F401  (score_batch re-exported for the benchmark tracer)
     PhraseTable,
     ScorerParams,
@@ -37,7 +40,7 @@ RANK_METHODS = ("theta", "grad", "grad-fast", "none")
 
 @dataclass(frozen=True)
 class RankedRow:
-    """One ranked negative: a line of a ranked file.
+    """One ranked negative, a line of a ranked file, as a `RankedTable` decodes it.
 
     The ranks of a list are a permutation of 1..n. A shuffled list keeps each
     row's pre-shuffle position in `rank`, so sorting by `rank` recovers the
@@ -49,13 +52,53 @@ class RankedRow:
     key: float
     method: str
 
+
+@dataclass(frozen=True, eq=False)
+class RankedTable(Sequence[RankedRow]):
+    """A ranked list as columns: `candidates` holds its rows in list order,
+    and row i has rank `ranks[i]`, key `keys[i]` and method `methods[i]`.
+
+    Building the table checks every row once: a known method and a finite
+    key (every candidate row has label 0). The table reads as a sequence of
+    `RankedRow`, decoded on access (all rows in one pass when iterated).
+    """
+
+    candidates: CandidateTable
+    ranks: np.ndarray  # (n,) int64
+    keys: np.ndarray  # (n,) float64
+    methods: np.ndarray  # (n,) str
+
     def __post_init__(self):
-        if self.method not in RANK_METHODS:
-            raise ValueError(f"unknown ranking method {self.method!r}")
-        if self.triple.label != 0:
-            raise ValueError(f"ranked triples are negatives, got label {self.triple.label}")
-        if not math.isfinite(self.key):
-            raise ValueError(f"non-finite ranking key {self.key!r} at rank {self.rank}")
+        unknown = np.flatnonzero(~np.isin(self.methods, RANK_METHODS))
+        if len(unknown):
+            raise ValueError(f"unknown ranking method {str(self.methods[unknown[0]])!r}")
+        bad = np.flatnonzero(~np.isfinite(self.keys))
+        if len(bad):
+            i = bad[0]
+            raise ValueError(
+                f"non-finite ranking key {float(self.keys[i])!r} at rank {int(self.ranks[i])}"
+            )
+
+    def __len__(self) -> int:
+        return len(self.ranks)
+
+    def _rows(self, indices: np.ndarray) -> list[RankedRow]:
+        return [
+            RankedRow(rank, triple, key, method)
+            for triple, rank, key, method in zip(
+                self.candidates.triples(indices),
+                self.ranks[indices].tolist(),
+                self.keys[indices].tolist(),
+                self.methods[indices].tolist(),
+            )
+        ]
+
+    def __getitem__(self, i: int) -> RankedRow:
+        (row,) = self._rows(np.asarray([i], dtype=np.int64))
+        return row
+
+    def __iter__(self) -> Iterator[RankedRow]:
+        return iter(self._rows(np.arange(len(self))))
 
 
 def _scorer_rows(
@@ -80,7 +123,7 @@ def rank_theta(
     keep_fraction: float = 0.5,
     *,
     seed: int = 0,
-) -> list[RankedRow]:
+) -> RankedTable:
     """Keep below-threshold candidates, best-scoring first, per relation.
 
     Per relation: candidates with score <= theta_r are sorted descending by
@@ -101,9 +144,9 @@ def rank_theta(
         # Stable sort on negated score keeps emission order among ties.
         pool = pool[np.argsort(-scores[pool], kind="stable")]
         kept.append(pool[: math.ceil(keep_fraction * len(pool))])
-    ordered = _ranked(candidates, np.concatenate(kept), scores, "theta")
-    perm = np.random.default_rng([seed, 10]).permutation(len(ordered))
-    return [ordered[i] for i in perm]
+    order = np.concatenate(kept)
+    perm = np.random.default_rng([seed, 10]).permutation(len(order))
+    return _ranked(candidates, order[perm], scores, "theta", ranks=perm + 1)
 
 
 def gradient_magnitude(params: ScorerParams, triple: LabeledTriple) -> float:
@@ -113,23 +156,30 @@ def gradient_magnitude(params: ScorerParams, triple: LabeledTriple) -> float:
 
 
 def _ranked(
-    candidates: CandidateTable, order: np.ndarray, keys: np.ndarray, method: str
-) -> list[RankedRow]:
-    """Rows of the candidates listed in `order`, ranked 1..n in that order."""
-    keys = np.asarray(keys, dtype=np.float64)[order].tolist()
-    return [
-        RankedRow(rank, triple, key, method)
-        for rank, (triple, key) in enumerate(zip(candidates.triples(order), keys), start=1)
-    ]
+    candidates: CandidateTable,
+    order: np.ndarray,
+    keys: np.ndarray,
+    method: str,
+    ranks: np.ndarray | None = None,
+) -> RankedTable:
+    """The candidates listed in `order` with their `keys`, ranked 1..n in that
+    order unless `ranks` gives each listed row its rank."""
+    n = len(order)
+    return RankedTable(
+        candidates.take(order),
+        np.arange(1, n + 1) if ranks is None else ranks,
+        np.asarray(keys, dtype=np.float64)[order],
+        np.full(n, method),
+    )
 
 
-def rank_grad(params: ScorerParams, candidates: CandidateTable) -> list[RankedRow]:
+def rank_grad(params: ScorerParams, candidates: CandidateTable) -> RankedTable:
     """Descending exact gradient magnitude, ties in emission order; one backward pass each."""
     keys = np.array([gradient_magnitude(params, triple) for triple in candidates.triples()])
     return _ranked(candidates, np.argsort(-keys, kind="stable"), keys, "grad")
 
 
-def rank_none(candidates: CandidateTable, *, seed: int = 0) -> list[RankedRow]:
+def rank_none(candidates: CandidateTable, *, seed: int = 0) -> RankedTable:
     """No-ranking ablation: a seeded shuffle with constant keys."""
     perm = np.random.default_rng([seed, 11]).permutation(len(candidates))
     return _ranked(candidates, perm, np.zeros(len(candidates)), "none")
@@ -213,7 +263,7 @@ def fit_gradient_predictor(
 
 def rank_grad_fast(
     params: ScorerParams, predictor: GradientPredictor, candidates: CandidateTable
-) -> list[RankedRow]:
+) -> RankedTable:
     """Descending predicted gradient magnitude; forward passes only."""
     keys = predictor.predict(encode_rows(params, *_scorer_rows(params, candidates)))
     return _ranked(candidates, np.argsort(-keys, kind="stable"), keys, "grad-fast")
@@ -236,44 +286,68 @@ def pearson(xs, ys) -> float:
     return float(xd @ yd) / math.sqrt(vx * vy)
 
 
-def write_ranked_tsv(rows: list[RankedRow], path: str | Path) -> None:
+def write_ranked_tsv(ranked: RankedTable, path: str | Path) -> None:
     """Rows in list order: `rank relation head tail key method` (tab-separated)."""
+    candidates = ranked.candidates
+    texts = [p.text for p in candidates.phrases]
+    relations = candidates.relations
     lines = [
-        "\t".join([str(row.rank), row.triple.relation, row.triple.head.text,
-                   row.triple.tail.text, format_float(row.key), row.method])
-        for row in rows
+        f"{rank}\t{relations[r]}\t{texts[h]}\t{texts[t]}\t{format_float(key)}\t{method}"
+        for rank, (h, r, t), key, method in zip(
+            ranked.ranks.tolist(),
+            candidates.rows.tolist(),
+            ranked.keys.tolist(),
+            ranked.methods.tolist(),
+        )
     ]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def read_ranked_tsv(path: str | Path) -> list[RankedRow]:
-    """Rows of a ranked file, which must hold distinct triples ranked 1..n."""
-    phrases: dict[str, Phrase] = {}
-    ranks: set[int] = set()
-    seen: set[tuple] = set()
+def read_ranked_tsv(path: str | Path) -> RankedTable:
+    """The ranked table of a ranked file, which must hold distinct triples ranked 1..n.
 
-    def parse(fields: list[str]) -> RankedRow:
+    A repeated triple (compared by phrase ids, so case and spacing variants
+    count) is rejected at the line that repeats it, and a rank beyond the
+    row count at that rank's line.
+    """
+    phrase_ids = _PhraseIds()
+    relation_ids: dict[str, int] = {}
+    rows: dict[tuple[int, int, int], None] = {}  # distinct, in file order
+    rank_lines: dict[int, int] = {}  # rank -> its line number, in file order
+    keys: list[float] = []
+    methods: list[str] = []
+
+    def parse(fields: list[str]) -> int:
         rank_text, relation, head, tail, key_text, method = fields
-        row = RankedRow(
-            int(rank_text),
-            LabeledTriple(intern_phrase(phrases, head), relation, intern_phrase(phrases, tail), 0),
-            float(key_text),
-            method,
-        )
-        if row.rank < 1 or row.rank in ranks:
-            raise ValueError(f"rank {row.rank} repeated or below 1")
-        ranks.add(row.rank)
-        if row.triple.key() in seen:
+        rank = int(rank_text)
+        row = (phrase_ids[head], relation_ids.setdefault(relation, len(relation_ids)), phrase_ids[tail])
+        key = float(key_text)
+        if method not in RANK_METHODS:
+            raise ValueError(f"unknown ranking method {method!r}")
+        if not math.isfinite(key):
+            raise ValueError(f"non-finite ranking key {key!r} at rank {rank}")
+        if rank < 1 or rank in rank_lines:
+            raise ValueError(f"rank {rank} repeated or below 1")
+        if row in rows:
             raise ValueError(f"duplicate triple {relation!r} {head!r} {tail!r}")
-        seen.add(row.triple.key())
-        return row
+        rows[row] = None
+        keys.append(key)
+        methods.append(method)
+        return rank
 
-    rows = []
-    top, top_line = 0, 0
-    for line_no, row in read_lines(path, parse, 6):
-        rows.append(row)
-        if row.rank > top:
-            top, top_line = row.rank, line_no
-    if top > len(rows):
-        raise ParseError(path, top_line, f"rank {top} exceeds the row count {len(rows)}")
-    return rows
+    for line_no, rank in read_lines(path, parse, 6):
+        rank_lines[rank] = line_no
+    top = max(rank_lines, default=0)
+    if top > len(rank_lines):
+        raise ParseError(path, rank_lines[top], f"rank {top} exceeds the row count {len(rows)}")
+    table = CandidateTable(
+        tuple(phrase_ids.phrases),
+        tuple(relation_ids),
+        np.fromiter(chain.from_iterable(rows), dtype=np.int64).reshape(-1, 3),
+    )
+    return RankedTable(
+        table,
+        np.fromiter(rank_lines, dtype=np.int64, count=len(rank_lines)),
+        np.asarray(keys, dtype=np.float64),
+        np.asarray(methods, dtype=str),
+    )

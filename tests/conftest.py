@@ -1,16 +1,49 @@
-"""Shared test helpers: triple builders, corruption and recorded draws, checkpoint surgery,
-the single-triple forward pass, the brute-force kNN and the gradient oracle."""
+"""Shared test helpers: triple builders, candidate and ranked tables from rows, corruption
+and recorded draws, checkpoint surgery, the single-triple forward pass, the brute-force kNN
+and the gradient oracle."""
 import json
 import math
 
 import numpy as np
 
-from negmine.kb import LabeledTriple, Phrase
+from negmine.candidates import CandidateTable
+from negmine.kb import SLOTS, LabeledTriple, Phrase
+from negmine.rankers import RankedTable
 from negmine.scorer import _draw_corruptions, _mode_columns, sigmoid
 
 
 def make_triple(rel, head, tail, label=1):
     return LabeledTriple(Phrase.parse(head), rel, Phrase.parse(tail), label)
+
+
+def candidate_table(candidates):
+    """The `CandidateTable` of `Candidate`s, in order, substitutions included."""
+    candidates = list(candidates)
+    table = CandidateTable.from_triples(c.triple for c in candidates)
+    phrase_ids = {p: i for i, p in enumerate(table.phrases)}
+    for c in candidates:
+        phrase_ids.setdefault(c.source.head, len(phrase_ids))
+        phrase_ids.setdefault(c.source.tail, len(phrase_ids))
+    sources = [(phrase_ids[c.source.head], phrase_ids[c.source.tail]) for c in candidates]
+    return CandidateTable(
+        tuple(phrase_ids),
+        table.relations,
+        table.rows,
+        np.asarray(sources, dtype=np.int64).reshape(-1, 2),
+        np.asarray([SLOTS.index(c.slot) for c in candidates], dtype=np.int64),
+        np.asarray([c.neighbor_rank for c in candidates], dtype=np.int64),
+    )
+
+
+def ranked_table(rows):
+    """The `RankedTable` of `RankedRow`s, in order."""
+    rows = list(rows)
+    return RankedTable(
+        CandidateTable.from_triples(r.triple for r in rows),
+        np.asarray([r.rank for r in rows], dtype=np.int64),
+        np.asarray([r.key for r in rows], dtype=np.float64),
+        np.asarray([r.method for r in rows], dtype=str),
+    )
 
 
 def encode(params, triple):

@@ -185,7 +185,7 @@ def predictor_world():
     index = build_index(list(kb.phrases), lambda p: embed_phrase(params, p))
     candidates = generate_candidates(kb, index, k=14)
     assert len(candidates) >= 2000
-    return params, [c.triple for c in candidates[:2000]]
+    return params, candidates.triples(range(2000))
 
 
 def test_criterion_5_gradient_predictor_fidelity(capsys, predictor_world):
@@ -236,9 +236,7 @@ def planted_world():
     )
     thresholds = fit_thresholds(params, kb.splits.validation)
     index = build_index(list(kb.phrases), lambda p: embed_phrase(params, p))
-    candidates = CandidateTable.from_triples(
-        c.triple for c in generate_candidates(kb, index, k=14)
-    )
+    candidates = generate_candidates(kb, index, k=14)
     ranked = {
         "negater-theta": rank_theta(params, thresholds, candidates, keep_fraction=1.0, seed=0),
         "negater-grad": rank_grad(params, candidates),

@@ -1,9 +1,11 @@
 """Candidate generation: filter chain, ordering, dedup, and validation."""
 import numpy as np
 import pytest
+from conftest import candidate_table
 
 from negmine.candidates import (
     Candidate,
+    CandidateTable,
     generate_candidates,
     read_candidates_tsv,
     validate_candidates,
@@ -96,7 +98,7 @@ class TestGenerate:
         kb = KnowledgeBase(triples)
         table = {p: rng.normal(size=4) for p in kb.phrases}
         index = build_index(list(kb.phrases), lambda p: table[p])
-        assert generate_candidates(kb, index, 4) == generate_candidates(kb, index, 4)
+        assert list(generate_candidates(kb, index, 4)) == list(generate_candidates(kb, index, 4))
 
     def test_k_floor(self):
         kb = KnowledgeBase([t("R", "a", "b")])
@@ -123,18 +125,18 @@ class TestValidate:
     def test_detects_injected_leak(self):
         kb, out = self._setup()
         leak = Candidate(kb.triples[0], kb.triples[1], HEAD, 1)
-        report = validate_candidates(kb, out + [leak], k=3)
+        report = validate_candidates(kb, list(out) + [leak], k=3)
         assert report.in_kb_leaks == 1
 
     def test_detects_duplicate(self):
         kb, out = self._setup()
-        report = validate_candidates(kb, out + [out[0]], k=3)
+        report = validate_candidates(kb, list(out) + [out[0]], k=3)
         assert report.duplicates == 1
 
     def test_detects_slot_violation(self):
         kb, out = self._setup()
         bad = Candidate(t("R", "zzz", "u1", 0), kb.triples[0], HEAD, 1)
-        report = validate_candidates(kb, out + [bad], k=3)
+        report = validate_candidates(kb, list(out) + [bad], k=3)
         assert report.slot_violations == 1
 
     def test_detects_overflow(self):
@@ -156,19 +158,19 @@ class TestCandidateTsv:
         assert out, "setup should produce candidates"
         path = tmp_path / "cands.tsv"
         write_candidates_tsv(out, path)
-        assert list(read_candidates_tsv(path)) == out
+        assert list(read_candidates_tsv(path)) == list(out)
 
     def test_layout(self, tmp_path):
         cand = Candidate(t("R", "x y", "b", 0), t("R", "a", "b"), HEAD, 2)
         path = tmp_path / "cands.tsv"
-        write_candidates_tsv([cand], path)
+        write_candidates_tsv(candidate_table([cand]), path)
         assert path.read_text() == "R\tx y\tb\ta\tb\thead\t2\n"
 
     def test_rewrite_byte_identical(self, tmp_path):
         cand = Candidate(t("R", "x", "b", 0), t("R", "a", "b"), TAIL, 1)
         a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
-        write_candidates_tsv([cand], a)
-        write_candidates_tsv([cand], b)
+        write_candidates_tsv(candidate_table([cand]), a)
+        write_candidates_tsv(candidate_table([cand]), b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_repeated_triple_rejected(self, tmp_path):
@@ -183,6 +185,24 @@ class TestCandidateTsv:
 
         with pytest.raises(ParseError, match="cands\\.tsv:3: duplicate candidate triple"):
             read_candidates_tsv(path)
+
+    def test_iteration_decodes_every_row_once(self, tmp_path, monkeypatch):
+        kb = KnowledgeBase([t("R", "a", "b"), t("R", "c", "b"), t("R", "d", "e")])
+        order = [Phrase.parse(s) for s in ("a", "d", "c", "b", "e")]
+        index = build_index(list(kb.phrases), line_embed(order))
+        path = tmp_path / "cands.tsv"
+        write_candidates_tsv(generate_candidates(kb, index, 2), path)
+        for table in (generate_candidates(kb, index, 2), read_candidates_tsv(path)):
+            assert len(table) > 1
+            assert list(table) == [table[i] for i in range(len(table))]
+            calls = []
+            triples = CandidateTable.triples
+            monkeypatch.setattr(
+                CandidateTable, "triples", lambda self, *a: calls.append(a) or triples(self, *a)
+            )
+            list(table)
+            monkeypatch.undo()
+            assert len(calls) == 1
 
     def test_malformed_rejected(self, tmp_path):
         path = tmp_path / "bad.tsv"

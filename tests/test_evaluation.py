@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import make_triple as t, t_tail_two_sided
+from conftest import make_triple as t, ranked_table, t_tail_two_sided
 
 from negmine.evaluation import (
     EvaluationReport,
@@ -214,22 +214,30 @@ class TestEvaluationReport:
         assert report.samplers() == ("uniform", "slots")
 
 
+def assign(positives, negatives, per_positive=1):
+    """The negatives `assign_ranked` pairs with the positives, by relation."""
+    chosen = assign_ranked(
+        [p.relation for p in positives], [n.relation for n in negatives], per_positive
+    )
+    return [negatives[i] for i in chosen]
+
+
 class TestAssignRanked:
     def test_prefers_matching_relation(self):
         positives = [t("R", "p1", "p2"), t("S", "p3", "p4")]
         negatives = [t("S", "n1", "n2", 0), t("R", "n3", "n4", 0), t("S", "n5", "n6", 0)]
-        out = assign_ranked(positives, negatives)
+        out = assign(positives, negatives)
         assert out == [negatives[1], negatives[0]]
 
     def test_falls_back_to_global_order(self):
         positives = [t("T", "p1", "p2")]
         negatives = [t("S", "n1", "n2", 0), t("S", "n3", "n4", 0)]
-        assert assign_ranked(positives, negatives) == [negatives[0]]
+        assert assign(positives, negatives) == [negatives[0]]
 
     def test_global_fallback_skips_consumed(self):
         positives = [t("T", "p1", "p2"), t("S", "p3", "p4")]
         negatives = [t("S", "n1", "n2", 0), t("S", "n3", "n4", 0)]
-        out = assign_ranked(positives, negatives)
+        out = assign(positives, negatives)
         assert out == [negatives[0], negatives[1]]
 
     def test_relation_queue_skips_consumed(self):
@@ -241,19 +249,19 @@ class TestAssignRanked:
             t("S", "n3", "n4", 0),
             t("S", "n5", "n6", 0),
         ]
-        out = assign_ranked(positives, negatives)
+        out = assign(positives, negatives)
         assert out == negatives
 
     def test_exhaustion_error_counts_shortfall(self):
         positives = [t("R", f"p{i}", f"q{i}") for i in range(3)]
         negatives = [t("R", "n1", "n2", 0)]
         with pytest.raises(ValueError, match="2 of 3"):
-            assign_ranked(positives, negatives)
+            assign(positives, negatives)
 
     def test_per_positive_multiplier(self):
         positives = [t("R", "p1", "p2")]
         negatives = [t("R", "n1", "n2", 0), t("R", "n3", "n4", 0)]
-        assert assign_ranked(positives, negatives, per_positive=2) == negatives
+        assert assign(positives, negatives, per_positive=2) == negatives
 
 
 def eval_kb():
@@ -354,13 +362,13 @@ class TestRunExperiment:
             RankedRow(i + 1, t("likes", f"c{i % 3}", f"b{i % 4}", 0), 0.0, "none")
             for i in range(len(kb.splits.train) + 2)
         ]
-        report = run_experiment(kb, fast_config("negater-none", ranked=rows))
+        report = run_experiment(kb, fast_config("negater-none", ranked=ranked_table(rows)))
         assert len(report.trials("negater-none")) == 2
 
     def test_ranked_exhaustion_error(self):
         kb = eval_kb()
         rows = [RankedRow(1, t("likes", "c0", "b0", 0), 0.5, "theta")]
-        config = fast_config("negater-theta", ranked=rows)
+        config = fast_config("negater-theta", ranked=ranked_table(rows))
         missing = len(kb.splits.train) - 1
         with pytest.raises(ValueError, match=f"{missing} of {len(kb.splits.train)}"):
             run_experiment(kb, config)

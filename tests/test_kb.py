@@ -85,6 +85,12 @@ class TestKnowledgeBase:
         assert kb.contains(t("r", "a", "b", label=0))  # membership ignores label
         assert not kb.contains(t("r", "b", "a"))
 
+    def test_slot_index_built_on_first_use(self):
+        kb = KnowledgeBase([t("r", "a", "b")])
+        assert "slot_index" not in vars(kb)
+        assert kb.slot_phrases("r", HEAD) == {Phrase.parse("a")}
+        assert "slot_index" in vars(kb)
+
     def test_phrases_first_occurrence_order(self):
         kb = KnowledgeBase([t("r", "a", "b"), t("r", "b", "c")])
         assert kb.phrases == (Phrase.parse("a"), Phrase.parse("b"), Phrase.parse("c"))

@@ -100,7 +100,7 @@ class TestCandidatesEquivalence:
     @given(kbs_with_index())
     def test_equals_reference_loop(self, case):
         kb, index, k = case
-        assert generate_candidates(kb, index, k) == reference_generate_candidates(kb, index, k)
+        assert list(generate_candidates(kb, index, k)) == reference_generate_candidates(kb, index, k)
 
     def test_knn_called_once_per_kb_phrase_in_kb_order(self, monkeypatch):
         import negmine.candidates as candidates
@@ -136,7 +136,7 @@ class TestCandidatesEquivalence:
         index = build_index(list(kb.phrases), lambda p: table[p])
         expected = reference_generate_candidates(kb, index, 5)
         monkeypatch.setattr(candidates, "_BLOCK_CELLS", 7)  # 1 positive per block
-        assert generate_candidates(kb, index, 5) == expected
+        assert list(generate_candidates(kb, index, 5)) == expected
 
 
 def reference_within(kb, phrase, hops):

@@ -3,7 +3,15 @@ import math
 
 import numpy as np
 import pytest
-from conftest import dense_gradient, encode, fd_gradient, make_triple as t, score, spearman
+from conftest import (
+    dense_gradient,
+    encode,
+    fd_gradient,
+    make_triple as t,
+    ranked_table,
+    score,
+    spearman,
+)
 
 from negmine import rankers
 from negmine.candidates import CandidateTable
@@ -89,7 +97,7 @@ def random_setup(n=30, seed=0, hidden_dim=4):
 class TestRankTheta:
     def test_empty(self):
         params, _ = controlled_setup([])
-        assert rank_theta(params, ThresholdMap(), from_triples([])) == []
+        assert list(rank_theta(params, ThresholdMap(), from_triples([]))) == []
 
     def test_filter_sort_ceil_example(self):
         params, candidates = controlled_setup([logit(0.7), logit(0.6), logit(0.2)])
@@ -138,7 +146,7 @@ class TestRankTheta:
         a = rank_theta(params, thresholds, from_triples(candidates), seed=1)
         b = rank_theta(params, thresholds, from_triples(candidates), seed=1)
         c = rank_theta(params, thresholds, from_triples(candidates), seed=2)
-        assert a == b
+        assert list(a) == list(b)
         assert {rc.triple for rc in a} == {rc.triple for rc in c}
         assert [rc.triple for rc in a] != [rc.triple for rc in c]
         # Sorted by rank: relations in sorted order, each pool's kept half
@@ -427,7 +435,7 @@ class TestRankNone:
     def test_seeded(self):
         _, candidates = random_setup(n=12, seed=24)
         table = from_triples(candidates)
-        assert rank_none(table, seed=3) == rank_none(table, seed=3)
+        assert list(rank_none(table, seed=3)) == list(rank_none(table, seed=3))
         assert [rc.triple for rc in rank_none(table, seed=3)] != [
             rc.triple for rc in rank_none(table, seed=4)
         ]
@@ -468,7 +476,7 @@ class TestRankedRow:
     )
     def test_invariants(self, rank, triple, key, method, message):
         with pytest.raises(ValueError, match=message):
-            RankedRow(rank, triple, key, method)
+            ranked_table([RankedRow(rank, triple, key, method)])
 
 
 def ranked_by(method):
@@ -491,20 +499,22 @@ class TestRankedTsv:
         rows = ranked_by(method)
         assert {row.method for row in rows} == {method}
         if method == "theta":
-            assert rows != by_rank(rows), "setup assumes a shuffled list"
+            assert list(rows) != by_rank(rows), "setup assumes a shuffled list"
         path = tmp_path / "ranked.tsv"
         write_ranked_tsv(rows, path)
-        assert read_ranked_tsv(path) == rows  # repr round-trips doubles exactly
+        assert list(read_ranked_tsv(path)) == list(rows)  # repr round-trips doubles exactly
 
     def test_layout(self, tmp_path):
         row = RankedRow(1, t("R", "a b", "c", 0), 0.25, "theta")
         path = tmp_path / "r.tsv"
-        write_ranked_tsv([row], path)
+        write_ranked_tsv(ranked_table([row]), path)
         assert path.read_text() == "1\tR\ta b\tc\t0.25\ttheta\n"
 
     def test_method_validated(self, tmp_path):
         with pytest.raises(ValueError):
-            write_ranked_tsv([RankedRow(1, t("R", "a", "b", 0), 0.0, "magic")], tmp_path / "r.tsv")
+            write_ranked_tsv(
+                ranked_table([RankedRow(1, t("R", "a", "b", 0), 0.0, "magic")]), tmp_path / "r.tsv"
+            )
         assert not (tmp_path / "r.tsv").exists()
 
     def test_bad_method_on_read(self, tmp_path):
@@ -530,6 +540,21 @@ class TestRankedTsv:
         path.write_text(text)
         with pytest.raises(ParseError, match=message):
             read_ranked_tsv(path)
+
+    @pytest.mark.parametrize("method", RANK_METHODS)
+    def test_iteration_decodes_every_row_once(self, tmp_path, monkeypatch, method):
+        path = tmp_path / "ranked.tsv"
+        write_ranked_tsv(ranked_by(method), path)
+        for table in (ranked_by(method), read_ranked_tsv(path)):
+            assert list(table) == [table[i] for i in range(len(table))]
+            calls = []
+            triples = CandidateTable.triples
+            monkeypatch.setattr(
+                CandidateTable, "triples", lambda self, *a: calls.append(a) or triples(self, *a)
+            )
+            list(table)
+            monkeypatch.undo()
+            assert len(calls) == 1
 
     def test_shuffled_permutation_accepted(self, tmp_path):
         path = tmp_path / "r.tsv"

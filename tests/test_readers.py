@@ -168,3 +168,75 @@ class TestCandidateReaderFailsClosed:
         with pytest.raises(ParseError) as info:
             read_candidates_tsv(path)
         assert str(info.value) == f"{path}:1: neighbor_rank 9223372036854775808 out of range"
+
+
+# A good ranked line, then each way a line can be bad, with the exact message
+# the reader reports for it.
+GOOD_RANKED = "1\tR\ta b\tc\t0.5\tgrad\n"
+BAD_RANKED = {
+    "field count": ("2\tR\tx\tc\t0.5\n", "expected 6 fields, got 5"),
+    "rank not an integer": (
+        "two\tR\tx\tc\t0.5\tgrad\n",
+        "invalid literal for int() with base 10: 'two'",
+    ),
+    "rank 0": ("0\tR\tx\tc\t0.5\tgrad\n", "rank 0 repeated or below 1"),
+    "repeated rank": ("1\tR\tx\tc\t0.5\tgrad\n", "rank 1 repeated or below 1"),
+    "empty head": ("2\tR\t\tc\t0.5\tgrad\n", "phrase must have at least one token"),
+    "key not a number": ("2\tR\tx\tc\thigh\tgrad\n", "could not convert string to float: 'high'"),
+    "repeated triple": ("2\tR\ta b\tc\t0.4\tgrad\n", "duplicate triple 'R' 'a b' 'c'"),
+    "case and spacing variant": ("2\tR\tA  b\tC\t0.4\tgrad\n", "duplicate triple 'R' 'A  b' 'C'"),
+    "unknown method": ("2\tR\tx\tc\t0.5\tmagic\n", "unknown ranking method 'magic'"),
+    "nan key": ("2\tR\tx\tc\tnan\tgrad\n", "non-finite ranking key nan at rank 2"),
+    "inf key": ("2\tR\tx\tc\tinf\tgrad\n", "non-finite ranking key inf at rank 2"),
+    "-inf key": ("2\tR\tx\tc\t-inf\ttheta\n", "non-finite ranking key -inf at rank 2"),
+}
+
+
+class TestRankedReaderFailsClosed:
+    """Each bad line fails at its own line with its own message, and the
+    first bad line of a file is the one reported."""
+
+    @pytest.mark.parametrize("case", sorted(BAD_RANKED))
+    def test_bad_line_named(self, tmp_path, case):
+        line, message = BAD_RANKED[case]
+        path = tmp_path / "ranked.tsv"
+        path.write_text("# ranked\n" + GOOD_RANKED + line, encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            read_ranked_tsv(path)
+        assert str(info.value) == f"{path}:3: {message}"
+
+    @pytest.mark.parametrize("case", sorted(BAD_RANKED))
+    def test_first_of_two_bad_lines(self, tmp_path, case):
+        line, message = BAD_RANKED[case]
+        path = tmp_path / "ranked.tsv"
+        later = "3\tR\tz\tc\tnan\tgrad\n"
+        path.write_text(GOOD_RANKED + line + later + "R\tx\n", encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            read_ranked_tsv(path)
+        assert str(info.value) == f"{path}:2: {message}"
+
+    def test_undecodable_byte(self, tmp_path):
+        path = tmp_path / "ranked.tsv"
+        path.write_bytes(GOOD_RANKED.encode() + b"2\tR\tcaf\xe9\tc\t0.5\tgrad\n")
+        with pytest.raises(ParseError) as info:
+            read_ranked_tsv(path)
+        assert str(info.value) == f"{path}:2: byte 0xe9 at column 8 is not UTF-8"
+
+    @pytest.mark.parametrize(
+        "ranks, line_no, message",
+        [
+            ((1, 5, 2), 2, "rank 5 exceeds the row count 3"),
+            ((4, 1, 2), 1, "rank 4 exceeds the row count 3"),
+            # Of several ranks beyond the count, the highest is reported.
+            ((4, 1, 9), 3, "rank 9 exceeds the row count 3"),
+        ],
+    )
+    def test_rank_above_row_count_named_at_its_line(self, tmp_path, ranks, line_no, message):
+        path = tmp_path / "ranked.tsv"
+        path.write_text(
+            "".join(f"{rank}\tR\tx{i}\tc\t0.5\tgrad\n" for i, rank in enumerate(ranks)),
+            encoding="utf-8",
+        )
+        with pytest.raises(ParseError) as info:
+            read_ranked_tsv(path)
+        assert str(info.value) == f"{path}:{line_no}: {message}"
