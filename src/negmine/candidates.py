@@ -10,10 +10,10 @@ Generation runs on the KB's integer view (`KnowledgeBase.ids`): neighbor
 lists become KB phrase ids, candidates become packed int64 triple keys, and
 filters (a)-(c) are array operations over blocks of positives.
 
-Candidates travel as a `CandidateTable`, integer rows over distinct phrases
-and relations: `generate_candidates` returns one over the KB's ids,
+Candidates travel as a `CandidateTable`, a `kb.TripleTable` with
+substitution columns: `generate_candidates` returns one over the KB's ids,
 `write_candidates_tsv` formats its columns, and `read_candidates_tsv` parses
-a file back into one, which the rankers take as it is.
+a file back into one, which the rankers and the scorer take as it is.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .ioutil import atomic_write_text, read_lines
-from .kb import SLOTS, KnowledgeBase, LabeledTriple, Phrase
+from .kb import SLOTS, KnowledgeBase, LabeledTriple, PhraseIds, TripleTable
 from .retrieval import PhraseIndex, knn
 
 # Grid cells (positive x slot x neighbor rank) expanded at a time.
@@ -49,23 +49,18 @@ class Candidate:
 
 
 @dataclass(frozen=True, eq=False)
-class CandidateTable(Sequence[Candidate]):
-    """Candidate negatives as integer rows over their distinct phrases and relations.
+class CandidateTable(TripleTable, Sequence[Candidate]):
+    """Candidate negatives: a `TripleTable` plus the substitution that made each row.
 
-    Row i is `rows[i] = (head phrase, relation, tail phrase)`, indexing
-    `phrases` (distinct `Phrase`s) and `relations` (names); every candidate
-    has label 0. The substitution columns say how row i was made: `sources[i]`
-    holds the substituted positive's (head phrase, tail phrase), `slots[i]`
-    indexes `SLOTS`, and `neighbor_ranks[i]` is 1-based. A table made by
-    `from_triples` has no substitution columns (they are None).
+    Every candidate has label 0. The substitution columns say how row i was
+    made: `sources[i]` holds the substituted positive's (head phrase, tail
+    phrase), `slots[i]` indexes `SLOTS`, and `neighbor_ranks[i]` is 1-based.
+    A table made by `from_triples` has no substitution columns (they are None).
 
     The table reads as a sequence of `Candidate`, decoded on access (all rows
     in one pass when iterated); `triples` decodes only the rows asked for.
     """
 
-    phrases: tuple[Phrase, ...]
-    relations: tuple[str, ...]
-    rows: np.ndarray  # (n, 3) int64
     sources: np.ndarray | None = None  # (n, 2) int64
     slots: np.ndarray | None = None  # (n,) int64
     neighbor_ranks: np.ndarray | None = None  # (n,) int64
@@ -76,19 +71,7 @@ class CandidateTable(Sequence[Candidate]):
         triples = list(triples)
         if any(t.label for t in triples):
             raise ValueError("candidate triples are negatives, got label 1")
-        phrase_ids: dict[Phrase, int] = {}
-        relation_ids: dict[str, int] = {}
-        flat = [
-            i
-            for t in triples
-            for i in (
-                phrase_ids.setdefault(t.head, len(phrase_ids)),
-                relation_ids.setdefault(t.relation, len(relation_ids)),
-                phrase_ids.setdefault(t.tail, len(phrase_ids)),
-            )
-        ]
-        rows = np.asarray(flat, dtype=np.int64).reshape(-1, 3)
-        return cls(tuple(phrase_ids), tuple(relation_ids), rows)
+        return super().from_triples(triples)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -99,14 +82,6 @@ class CandidateTable(Sequence[Candidate]):
         return CandidateTable(
             self.phrases, self.relations, *(None if c is None else c[indices] for c in columns)
         )
-
-    def triples(self, indices: Iterable[int] | np.ndarray | None = None) -> list[LabeledTriple]:
-        """The label-0 triples of rows `indices` (every row by default), in that order."""
-        rows = self.rows if indices is None else self.rows[np.asarray(indices, dtype=np.int64)]
-        phrases, relations = self.phrases, self.relations
-        return [
-            LabeledTriple(phrases[h], relations[r], phrases[t], 0) for h, r, t in rows.tolist()
-        ]
 
     def _candidates(self, indices: np.ndarray) -> list[Candidate]:
         if self.sources is None:
@@ -255,30 +230,13 @@ def write_candidates_tsv(candidates: CandidateTable, path: str | Path) -> None:
 _MAX_RANK = np.iinfo(np.int64).max
 
 
-class _PhraseIds(dict):
-    """Text -> phrase id. Each distinct text is parsed once, on its first
-    lookup, and texts that parse to the same `Phrase` share its id."""
-
-    def __init__(self):
-        super().__init__()
-        self.phrases: list[Phrase] = []
-        self._ids: dict[Phrase, int] = {}
-
-    def __missing__(self, text: str) -> int:
-        phrase = Phrase.parse(text)
-        i = self[text] = self._ids.setdefault(phrase, len(self.phrases))
-        if i == len(self.phrases):
-            self.phrases.append(phrase)
-        return i
-
-
 def read_candidates_tsv(path: str | Path) -> CandidateTable:
     """The candidate table of a candidate file, which must hold distinct triples.
 
     A repeated triple (compared by phrase ids, so case and spacing variants
     count) is rejected at the line that repeats it.
     """
-    phrase_ids = _PhraseIds()
+    phrase_ids = PhraseIds()
     relation_ids: dict[str, int] = {}
     slot_ids = {slot: i for i, slot in enumerate(SLOTS)}
     seen: set[tuple[int, int, int]] = set()

@@ -13,12 +13,15 @@ Besides the object API, a KB offers one integer view of its stored positives,
 positive packs to one int64 key, kept sorted so that membership of a whole
 batch of id rows is one `np.searchsorted`. The negative generators
 (`candidates.generate_candidates`, `scorer.corruption_examples` and the
-`uniform`, `slots` and `sans` samplers) work on it.
+`uniform`, `slots` and `sans` samplers) work on it. Its id rows have the
+format of a `TripleTable`, which the candidate tables and the scorer share,
+and whose `triples` is the one decoder of id rows back to triples.
 """
 from __future__ import annotations
 
 import logging
 from collections import defaultdict
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -65,15 +68,23 @@ class Phrase:
         return self.text
 
 
-def intern_phrase(cache: dict[str, "Phrase"], text: str) -> Phrase:
-    """`Phrase.parse(text)`, parsed once per distinct text of `cache`.
+class PhraseIds(dict):
+    """Text -> phrase id, numbering `phrases` in first-seen order. Each
+    distinct text is parsed once, on its first lookup (a text that fails to
+    parse raises every time), and texts that parse to the same `Phrase`
+    share its id."""
 
-    Only successful parses are cached, so bad text raises every time.
-    """
-    phrase = cache.get(text)
-    if phrase is None:
-        phrase = cache[text] = Phrase.parse(text)
-    return phrase
+    def __init__(self):
+        super().__init__()
+        self.phrases: list[Phrase] = []
+        self._ids: dict[Phrase, int] = {}
+
+    def __missing__(self, text: str) -> int:
+        phrase = Phrase.parse(text)
+        i = self[text] = self._ids.setdefault(phrase, len(self.phrases))
+        if i == len(self.phrases):
+            self.phrases.append(phrase)
+        return i
 
 
 @dataclass(frozen=True)
@@ -104,6 +115,50 @@ class LabeledTriple:
         if slot == TAIL:
             return LabeledTriple(self.head, self.relation, phrase, label)
         raise ValueError(f"unknown slot {slot!r}")
+
+
+@dataclass(frozen=True, eq=False)
+class TripleTable:
+    """Triples as int64 id rows over distinct phrases and relations.
+
+    Row i is `rows[i] = (head phrase, relation, tail phrase)`, indexing
+    `phrases` (distinct `Phrase`s) and `relations` (names); id -1 stands for
+    a phrase or relation the table does not store. Labels are not kept:
+    `triples` decodes rows as label-0 triples.
+    """
+
+    phrases: tuple[Phrase, ...]
+    relations: tuple[str, ...]
+    rows: np.ndarray  # (n, 3) int64
+
+    @classmethod
+    def from_triples(cls, triples: Iterable[LabeledTriple]) -> "TripleTable":
+        """A table of the triples' statements in order, phrases and relations
+        numbered in first-seen order (heads before tails per triple)."""
+        phrase_ids: dict[Phrase, int] = {}
+        relation_ids: dict[str, int] = {}
+        flat = [
+            i
+            for t in triples
+            for i in (
+                phrase_ids.setdefault(t.head, len(phrase_ids)),
+                relation_ids.setdefault(t.relation, len(relation_ids)),
+                phrase_ids.setdefault(t.tail, len(phrase_ids)),
+            )
+        ]
+        rows = np.asarray(flat, dtype=np.int64).reshape(-1, 3)
+        return cls(tuple(phrase_ids), tuple(relation_ids), rows)
+
+    def triples(self, indices: Iterable[int] | np.ndarray | None = None) -> list[LabeledTriple]:
+        """The label-0 triples of rows `indices` (every row by default), in
+        that order; an id of -1 is an error."""
+        rows = self.rows if indices is None else self.rows[np.asarray(indices, dtype=np.int64)]
+        if (rows < 0).any():
+            raise ValueError("id row holds a phrase or relation the table does not store")
+        phrases, relations = self.phrases, self.relations
+        return [
+            LabeledTriple(phrases[h], relations[r], phrases[t], 0) for h, r, t in rows.tolist()
+        ]
 
 
 @dataclass
@@ -223,12 +278,7 @@ class IdView:
 
     def decode(self, rows: np.ndarray) -> list[LabeledTriple]:
         """Label-0 triples of (n, 3) id rows; -1 is an error."""
-        if (rows < 0).any():
-            raise ValueError("id row holds a phrase or relation the KB does not store")
-        phrases, relations = self.phrases, self.relations
-        return [
-            LabeledTriple(phrases[h], relations[r], phrases[t], 0) for h, r, t in rows.tolist()
-        ]
+        return TripleTable(self.phrases, self.relations, rows).triples()
 
     def pack(self, heads, relations, tails) -> np.ndarray:
         return (heads * len(self.relations) + relations) * self.n_phrases + tails
@@ -273,7 +323,8 @@ def load_tsv(
     if sorted(column_order) != ["h", "r", "t"]:
         raise ValueError(f"column_order must be a permutation of 'rht', got {column_order!r}")
     r, h, t = (column_order.index(c) for c in "rht")
-    phrases: dict[str, Phrase] = {}
+    phrase_ids = PhraseIds()
+    phrases = phrase_ids.phrases
 
     def parse(fields: list[str]) -> LabeledTriple:
         relation = fields[r].strip()
@@ -285,8 +336,8 @@ def load_tsv(
             if label_text not in ("0", "1"):
                 raise ValueError(f"label must be 0 or 1, got {label_text!r}")
             label = int(label_text)
-        head = intern_phrase(phrases, fields[h])
-        return LabeledTriple(head, relation, intern_phrase(phrases, fields[t]), label)
+        head = phrases[phrase_ids[fields[h]]]
+        return LabeledTriple(head, relation, phrases[phrase_ids[fields[t]]], label)
 
     triples: list[LabeledTriple] = []
     seen_positive: set[tuple] = set()

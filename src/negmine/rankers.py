@@ -3,14 +3,15 @@
 Every ranker takes a `CandidateTable` and returns a `RankedTable`: the
 candidate rows in list order plus rank, key and method columns, which
 `write_ranked_tsv` writes and `read_ranked_tsv` reads back. Forward passes
-pool the table's id rows directly, and a ranker decodes to triples only the
-rows its backward passes take. Four methods: `theta`, the classification
-score among the below-threshold pool ("almost positive" first); `grad`, the
-L2 magnitude of the loss gradient under a forced positive label (larger
-means the statement fights the trained beliefs harder); `grad-fast`, a
-linear least-squares fit on a sample of exact norms that predicts the other
-magnitudes from pooled vectors, skipping their backward passes; and `none`,
-a seeded shuffle, the no-ranking ablation.
+hand the table to the scorer as it is (`score_rows`, `encode_rows`), and a
+ranker decodes to triples only the rows its backward passes take. Four
+methods: `theta`, the classification score among the below-threshold pool
+("almost positive" first); `grad`, the L2 magnitude of the loss gradient
+under a forced positive label (larger means the statement fights the
+trained beliefs harder); `grad-fast`, a linear least-squares fit on a sample
+of exact norms that predicts the other magnitudes from pooled vectors,
+skipping their backward passes; and `none`, a seeded shuffle, the
+no-ranking ablation.
 """
 from __future__ import annotations
 
@@ -22,11 +23,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .candidates import CandidateTable, _PhraseIds
+from .candidates import CandidateTable
 from .ioutil import ParseError, atomic_write_text, format_float, read_lines
-from .kb import LabeledTriple
+from .kb import LabeledTriple, PhraseIds
 from .scorer import (  # noqa: F401  (score_batch re-exported for the benchmark tracer)
-    PhraseTable,
     ScorerParams,
     ThresholdMap,
     encode_rows,
@@ -101,21 +101,6 @@ class RankedTable(Sequence[RankedRow]):
         return iter(self._rows(np.arange(len(self))))
 
 
-def _scorer_rows(
-    params: ScorerParams, candidates: CandidateTable, indices: np.ndarray | None = None
-) -> tuple[PhraseTable, np.ndarray]:
-    """The scorer's id rows of the candidates (of rows `indices`), over their phrases.
-
-    The table's phrases are distinct, so phrase ids carry over unchanged and
-    only relation ids become relation token ids.
-    """
-    vocab = params.vocab
-    tokens = np.array([vocab.relation_id(r) for r in candidates.relations], dtype=np.int64)
-    rows = candidates.rows if indices is None else candidates.rows[indices]
-    rows = np.column_stack([rows[:, 0], tokens[rows[:, 1]], rows[:, 2]])
-    return PhraseTable(vocab, candidates.phrases), rows
-
-
 def rank_theta(
     params: ScorerParams,
     thresholds: ThresholdMap,
@@ -133,7 +118,7 @@ def rank_theta(
     """
     if not 0.0 < keep_fraction <= 1.0:
         raise ValueError(f"keep_fraction must be in (0, 1], got {keep_fraction}")
-    scores = score_rows(params, *_scorer_rows(params, candidates))
+    scores = score_rows(params, candidates)
     if not np.isfinite(scores).all():
         raise ValueError("non-finite classification score among the candidates")
     relation_of = candidates.rows[:, 1]
@@ -254,7 +239,7 @@ def fit_gradient_predictor(
     if n > len(candidates):
         raise ValueError(f"n={n} exceeds candidate count {len(candidates)}")
     chosen = rng.choice(len(candidates), size=n, replace=False)
-    features = encode_rows(params, *_scorer_rows(params, candidates, chosen))
+    features = encode_rows(params, candidates.take(chosen))
     targets = np.array([gradient_magnitude(params, t) for t in candidates.triples(chosen)])
     if not np.isfinite(targets).all():
         raise ValueError("non-finite gradient magnitude among the predictor's training targets")
@@ -265,7 +250,7 @@ def rank_grad_fast(
     params: ScorerParams, predictor: GradientPredictor, candidates: CandidateTable
 ) -> RankedTable:
     """Descending predicted gradient magnitude; forward passes only."""
-    keys = predictor.predict(encode_rows(params, *_scorer_rows(params, candidates)))
+    keys = predictor.predict(encode_rows(params, candidates))
     return _ranked(candidates, np.argsort(-keys, kind="stable"), keys, "grad-fast")
 
 
@@ -310,7 +295,7 @@ def read_ranked_tsv(path: str | Path) -> RankedTable:
     count) is rejected at the line that repeats it, and a rank beyond the
     row count at that rank's line.
     """
-    phrase_ids = _PhraseIds()
+    phrase_ids = PhraseIds()
     relation_ids: dict[str, int] = {}
     rows: dict[tuple[int, int, int], None] = {}  # distinct, in file order
     rank_lines: dict[int, int] = {}  # rank -> its line number, in file order

@@ -10,39 +10,39 @@ ranking.
 
 `loss_and_gradient` works on one triple and is the reference for the
 batch gradients; the tests hold the single-triple forward pass that the
-batch one is checked against. The batch paths encode each distinct phrase
-to token ids once, into a `PhraseTable`, and hold triples as int rows (head
-phrase id, relation token id, tail phrase id); `encode_rows` and
-`score_rows` take such rows, and `encode_batch` and `score_batch` make them
-from triples. Training pools a batch through its normalized token-count
-matrix `A` (batch x the batch's distinct tokens), so the forward pass is
-`A @ emb[ids]`, the embedding gradient is `A.T @ dm`, and the
-optimizer steps only those rows. Each epoch's rows are shuffled once; for
-every block of LAYOUT_BATCHES consecutive batches a `_TokenLayout` lists the
-token ids each row emits, and each batch's `A` is a slice of it. The training
-step takes the logistic as a tanh and the loss with one `log`, clipped as
-`loss_and_gradient` clips it. Forward-only scoring keeps the stable `sigmoid`
-and pools from per-phrase embedding sums, computed once per call.
+batch one is checked against. The batch paths take a `kb.TripleTable` of
+id rows, as the KB's `ids` and the candidate tables hold them: `encode_rows`
+and `score_rows` take a table, and `encode_batch` and `score_batch` build
+one from triples. Each call, or training run, encodes the table's phrases
+and relations to token ids once. Training pools a batch through its
+normalized token-count matrix `A` (batch x the batch's distinct tokens), so
+the forward pass is `A @ emb[ids]`, the embedding gradient is `A.T @ dm`,
+and the optimizer steps only those rows. Each epoch's rows are shuffled
+once; for every block of LAYOUT_BATCHES consecutive batches a `_TokenLayout`
+lists the token ids each row emits, and each batch's `A` is a slice of it.
+The training step takes the logistic as a tanh and the loss with one `log`,
+clipped as `loss_and_gradient` clips it. Forward-only scoring keeps the
+stable `sigmoid` and pools from per-phrase embedding sums, computed once
+per call.
 
-Contrastive corruptions are drawn on the KB's integer view (`kb.ids`), whose
-phrase ids match the training `PhraseTable`: an epoch's replacements are
-integer arrays, collisions with stored positives are found by binary search
-over packed triple keys, and only the colliding entries are redrawn. The
-same draw, over per-entry `Pools`, serves the uniform, slot and k-hop
-samplers.
+Contrastive corruptions are drawn on the KB's integer view (`kb.ids`),
+whose rows training takes as they are: an epoch's replacements are integer
+arrays, collisions with stored positives are found by binary search over
+packed triple keys, and only the colliding entries are redrawn. The same
+draw, over per-entry `Pools`, serves the uniform, slot and k-hop samplers.
 """
 from __future__ import annotations
 
 import logging
 import math
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 
-from .kb import IdView, KnowledgeBase, LabeledTriple, Phrase
+from .kb import IdView, KnowledgeBase, LabeledTriple, Phrase, TripleTable
 
 logger = logging.getLogger(__name__)
 
@@ -115,51 +115,22 @@ class TokenVocab:
         )
 
 
-class PhraseTable:
-    """Distinct phrases in first-seen order, each encoded to token ids once.
+_TokenView = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
-    Phrase i's token ids are `tokens[offsets[i] : offsets[i] + lengths[i]]`
-    of `arrays()`. `encode` turns triples into int rows (head phrase id,
-    relation token id, tail phrase id) over the table, adding unseen phrases.
+
+def _token_view(vocab: TokenVocab, table: TripleTable | IdView) -> _TokenView:
+    """(tokens, offsets, lengths, relations): `table`'s phrases and relations as token ids.
+
+    Phrase i's token ids are `tokens[offsets[i] : offsets[i] + lengths[i]]`;
+    relation j's token id is `relations[j]` (UNK for one the vocabulary lacks).
     """
-
-    def __init__(self, vocab: TokenVocab, phrases: Iterable[Phrase] = ()):
-        self.vocab = vocab
-        self._ids: dict[Phrase, int] = {}
-        self._tokens: list[int] = []
-        self._lengths: list[int] = []
-        self._arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        for phrase in phrases:
-            self.phrase_id(phrase)
-
-    def phrase_id(self, phrase: Phrase) -> int:
-        i = self._ids.get(phrase)
-        if i is None:
-            i = self._ids[phrase] = len(self._lengths)
-            self._tokens.extend(self.vocab.word_id(t) for t in phrase.tokens)
-            self._lengths.append(len(phrase.tokens))
-            self._arrays = None
-        return i
-
-    def encode(self, triples: Iterable[LabeledTriple]) -> np.ndarray:
-        """(n, 3) int64 rows: head phrase id, relation token id, tail phrase id."""
-        phrase_id = self.phrase_id
-        relation_id = self.vocab.relation_id
-        flat = [
-            i
-            for t in triples
-            for i in (phrase_id(t.head), relation_id(t.relation), phrase_id(t.tail))
-        ]
-        return np.asarray(flat, dtype=np.int64).reshape(-1, 3)
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(tokens, offsets, lengths) of every phrase added so far."""
-        if self._arrays is None:
-            lengths = np.asarray(self._lengths, dtype=np.int64)
-            offsets = np.zeros(len(lengths), dtype=np.int64)
-            np.cumsum(lengths[:-1], out=offsets[1:])
-            self._arrays = (np.asarray(self._tokens, dtype=np.int64), offsets, lengths)
-        return self._arrays
+    word, unk = vocab.word_ids.get, vocab.UNK
+    tokens = [word(w, unk) for phrase in table.phrases for w in phrase.tokens]
+    lengths = np.asarray([len(phrase.tokens) for phrase in table.phrases], dtype=np.int64)
+    offsets = np.zeros(len(lengths), dtype=np.int64)
+    np.cumsum(lengths[:-1], out=offsets[1:])
+    relations = np.asarray([vocab.relation_id(r) for r in table.relations], dtype=np.int64)
+    return np.asarray(tokens, dtype=np.int64), offsets, lengths, relations
 
 
 class ScorerParams:
@@ -239,32 +210,30 @@ def sigmoid(z):
     return out
 
 
-def encode_rows(params: ScorerParams, table: PhraseTable, rows: np.ndarray) -> np.ndarray:
-    """Pooled H-vectors of id rows over `table`, one row each, forward only.
+def encode_rows(params: ScorerParams, table: TripleTable) -> np.ndarray:
+    """Pooled H-vectors of the table's rows, one each, forward only.
 
     Each is the triple's token mean plus a residual feedforward correction;
     with zero feedforward weights it is the token mean exactly.
     """
-    if not len(rows):
+    if not len(table.rows):
         return np.zeros((0, params.hidden_dim))
-    _, h = _hidden(params, _pool_phrase_sums(params, table, rows))
+    _, h = _hidden(params, _pool_phrase_sums(params, table))
     return h
 
 
-def score_rows(params: ScorerParams, table: PhraseTable, rows: np.ndarray) -> np.ndarray:
-    """Classification scores of id rows over `table`, forward only."""
-    return sigmoid(encode_rows(params, table, rows) @ params.w + params.b)
+def score_rows(params: ScorerParams, table: TripleTable) -> np.ndarray:
+    """Classification scores of the table's rows, forward only."""
+    return sigmoid(encode_rows(params, table) @ params.w + params.b)
 
 
 def encode_batch(params: ScorerParams, triples: list[LabeledTriple]) -> np.ndarray:
     """`encode_rows` of many triples, one row each."""
-    table = PhraseTable(params.vocab)
-    return encode_rows(params, table, table.encode(triples))
+    return encode_rows(params, TripleTable.from_triples(triples))
 
 
 def score_batch(params: ScorerParams, triples: list[LabeledTriple]) -> np.ndarray:
-    table = PhraseTable(params.vocab)
-    return score_rows(params, table, table.encode(triples))
+    return score_rows(params, TripleTable.from_triples(triples))
 
 
 def _mode_columns(modes: list[str]) -> np.ndarray:
@@ -388,19 +357,19 @@ def _hidden(params: ScorerParams, m: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return t, m + t
 
 
-def _pool_phrase_sums(params: ScorerParams, table: PhraseTable, rows: np.ndarray) -> np.ndarray:
-    """Token means of triple rows from per-phrase embedding sums, forward only.
+def _pool_phrase_sums(params: ScorerParams, table: TripleTable) -> np.ndarray:
+    """Token means of the table's rows from per-phrase embedding sums, forward only.
 
     Mean pooling is linear in the token rows, so each distinct phrase's
     embedding sum is gathered once and shared by every triple that uses it.
     """
-    tokens, offsets, lengths = table.arrays()
-    sums = np.add.reduceat(params.emb[tokens], offsets, axis=0)
-    heads, relations, tails = rows.T
     vocab = params.vocab
+    tokens, offsets, lengths, relation_tokens = _token_view(vocab, table)
+    sums = np.add.reduceat(params.emb[tokens], offsets, axis=0)
+    heads, relations, tails = table.rows.T
     # encode_triple layout: [start, head tokens, sep, relation, sep, tail tokens]
     frame = params.emb[vocab.START] + 2.0 * params.emb[vocab.SEP]
-    m = frame + params.emb[relations] + sums[heads] + sums[tails]
+    m = frame + params.emb[relation_tokens[relations]] + sums[heads] + sums[tails]
     m /= (4 + lengths[heads] + lengths[tails])[:, None]
     return m
 
@@ -414,7 +383,8 @@ LAYOUT_BATCHES = 16
 
 
 class _TokenLayout:
-    """Every token id `encode_triple` emits for a block of rows, row after row.
+    """Every token id `encode_triple` emits for a block of id rows over a
+    token view, row after row.
 
     Row i's ids are `emitted[indptr[i] : indptr[i + 1]]`; `owner` names each
     id's row and `weight` is 1 / that row's length. `batch` turns a slice of
@@ -425,8 +395,8 @@ class _TokenLayout:
     table; no other row is touched.
     """
 
-    def __init__(self, vocab: TokenVocab, table: PhraseTable, rows: np.ndarray):
-        tokens, offsets, lengths = table.arrays()
+    def __init__(self, vocab: TokenVocab, view: _TokenView, rows: np.ndarray):
+        tokens, offsets, lengths, relation_tokens = view
         heads, relations, tails = rows.T
         head_len = lengths[heads]
         length = 4 + head_len + lengths[tails]
@@ -439,7 +409,7 @@ class _TokenLayout:
         self.emitted = np.empty(self.indptr[-1], dtype=np.int64)
         self.emitted[starts] = vocab.START
         self.emitted[sep] = vocab.SEP
-        self.emitted[sep + 1] = relations
+        self.emitted[sep + 1] = relation_tokens[relations]
         self.emitted[sep + 2] = vocab.SEP
         is_word = np.ones(len(self.emitted), dtype=bool)
         is_word[np.concatenate([starts, sep, sep + 1, sep + 2])] = False
@@ -467,15 +437,15 @@ class _TokenLayout:
 
 
 def _token_batches(
-    vocab: TokenVocab, table: PhraseTable, rows: np.ndarray, batch_size: int
+    vocab: TokenVocab, view: _TokenView, rows: np.ndarray, batch_size: int
 ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
-    """(start, stop, ids, A) of each consecutive batch of `rows`.
+    """(start, stop, ids, A) of each consecutive batch of id `rows` over `view`.
 
     The token layout is built once per LAYOUT_BATCHES batches and sliced.
     """
     block = LAYOUT_BATCHES * batch_size
     for block_start in range(0, len(rows), block):
-        layout = _TokenLayout(vocab, table, rows[block_start : block_start + block])
+        layout = _TokenLayout(vocab, view, rows[block_start : block_start + block])
         block_len = len(layout.indptr) - 1
         for start in range(0, block_len, batch_size):
             stop = min(start + batch_size, block_len)
@@ -589,12 +559,12 @@ class TrainConfig:
 
 def _train(
     params: ScorerParams,
-    table: PhraseTable,
+    view: _TokenView,
     config: TrainConfig,
     rng: np.random.Generator,
     epoch_examples: Callable[[], tuple[np.ndarray, np.ndarray]],
 ) -> list[float]:
-    """Mean loss per epoch; `epoch_examples()` gives each epoch's (rows, labels)."""
+    """Mean loss per epoch; `epoch_examples()` gives each epoch's (id rows over `view`, labels)."""
     optimizer = _Adagrad(params, config.learning_rate)
     trace: list[float] = []
     for epoch in range(config.epochs):
@@ -605,7 +575,7 @@ def _train(
         # A diverging run fails on its epoch loss below, not on numpy warnings.
         with np.errstate(over="ignore", invalid="ignore"):
             for start, stop, ids, a in _token_batches(
-                params.vocab, table, rows[perm], config.batch_size
+                params.vocab, view, rows[perm], config.batch_size
             ):
                 loss, grads = _loss_and_gradient_batch(params, ids, a, labels[start:stop])
                 optimizer.step(params, grads)
@@ -643,31 +613,17 @@ def train_contrastive(
     if not positives:
         raise ValueError("training split is empty")
     rng = np.random.default_rng([config.seed, 2])
-    ids = kb.ids
-    pos_ids = ids.encode(positives)
+    pos_ids = kb.ids.encode(positives)
     if (pos_ids < 0).any():
         raise ValueError("training split holds a phrase or relation the KB does not store")
-    # The table numbers the KB's phrases like `kb.ids`, so an id row becomes
-    # a table row by mapping its relation id to the relation's token id.
-    table = PhraseTable(params.vocab, kb.phrases)
-    relation_tokens = np.asarray(
-        [params.vocab.relation_id(r) for r in ids.relations], dtype=np.int64
-    )
-
-    def table_rows(id_rows: np.ndarray) -> np.ndarray:
-        rows = id_rows.copy()
-        rows[:, 1] = relation_tokens[id_rows[:, 1]]
-        return rows
-
-    pos_rows = table_rows(pos_ids)
     pos_labels = np.ones(len(positives))
 
     def epoch_examples():
         negatives = corruption_examples(kb, pos_ids, config, rng)
-        rows = np.concatenate([pos_rows, table_rows(negatives)])
+        rows = np.concatenate([pos_ids, negatives])
         return rows, np.concatenate([pos_labels, np.zeros(len(negatives))])
 
-    return params, _train(params, table, config, rng, epoch_examples)
+    return params, _train(params, _token_view(params.vocab, kb.ids), config, rng, epoch_examples)
 
 
 def train_supervised(
@@ -677,10 +633,10 @@ def train_supervised(
     if not examples:
         raise ValueError("example set is empty")
     rng = np.random.default_rng([config.seed, 3])
-    table = PhraseTable(params.vocab)
-    rows = table.encode(examples)
+    table = TripleTable.from_triples(examples)
     labels = np.asarray([float(t.label) for t in examples])
-    return params, _train(params, table, config, rng, lambda: (rows, labels))
+    view = _token_view(params.vocab, table)
+    return params, _train(params, view, config, rng, lambda: (table.rows, labels))
 
 
 @dataclass

@@ -17,6 +17,7 @@ from negmine.candidates import CandidateTable, generate_candidates
 from negmine.evaluation import (
     EvaluationReport,
     ExperimentConfig,
+    assign_ranked,
     run_experiment,
     t_test_two_sided,
 )
@@ -40,7 +41,7 @@ from negmine.scorer import (
     score_batch,
     train_contrastive,
 )
-from negmine.synthetic import SyntheticSpec, generate_kb
+from negmine.synthetic import SyntheticSpec, cluster_pair, generate_kb, quality_of
 
 
 def report(capsys, number: int, ok: bool, detail: str) -> None:
@@ -278,6 +279,37 @@ def test_criterion_6_directional_task_result(capsys, planted_world):
     means = ", ".join(f"{s}={mean[s]:.4f}" for s in combined.samplers())
     ps = ", ".join(f"p[{s}]={p_value[s]:.4g}" for s in p_value)
     report(capsys, 6, ok, f"accuracy means {means}; {ps}; total {elapsed:.0f}s (<900s)")
+
+
+def planted_false(spec: SyntheticSpec, triple: LabeledTriple) -> bool:
+    """Ground truth of the planted world: a statement is false iff its head
+    and tail are of its relation's cluster kinds and their qualities differ."""
+    head_cluster, tail_cluster = cluster_pair(spec, int(triple.relation.removeprefix("rel")))
+    typed = triple.head.tokens[1] == f"kind{head_cluster}" and (
+        triple.tail.tokens[1] == f"kind{tail_cluster}"
+    )
+    return typed and quality_of(triple.head) != quality_of(triple.tail)
+
+
+def test_ranked_negatives_are_false_statements(planted_world):
+    """The paper's intrinsic claim on criterion 6's world: the negatives that
+    `theta` and `grad` rankings hand to training (one per training positive,
+    as `assign_ranked` consumes them) are false statements far more often
+    than the unranked ablation's. Measured: theta 0.9953, grad 0.9983, none
+    0.6701 over 2352 draws each."""
+    kb, ranked, _ = planted_world
+    spec = SyntheticSpec(seed=0)
+    positives = [x.relation for x in kb.splits.train]
+    share = {}
+    for sampler, table in ranked.items():
+        candidates = table.candidates
+        relations = [candidates.relations[r] for r in candidates.rows[:, 1].tolist()]
+        drawn = candidates.triples(assign_ranked(positives, relations, 1))
+        assert len(drawn) == len(positives)
+        share[sampler] = float(np.mean([planted_false(spec, x) for x in drawn]))
+    for sampler in ("negater-theta", "negater-grad"):
+        assert share[sampler] >= 0.95, share
+        assert share[sampler] >= share["negater-none"] + 0.2, share
 
 
 def test_criterion_7_statistics_correctness(capsys):

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+from negmine.candidates import CandidateTable
 from negmine.kb import (
     HEAD,
     TAIL,
@@ -106,6 +107,12 @@ class TestKnowledgeBase:
         assert kb.ids.decode(kb.ids.encode(kb.triples)) == [replace(x, label=0) for x in kb.triples]
         with pytest.raises(ValueError, match="does not store"):
             kb.ids.decode(kb.ids.encode([t("r", "a", "zzz")]))
+        # A candidate table shares the decoder, -1 check included.
+        table = CandidateTable(
+            kb.ids.phrases, kb.ids.relations, kb.ids.encode([t("r", "a", "zzz")])
+        )
+        with pytest.raises(ValueError, match="does not store"):
+            table.triples()
 
 
 class TestLoadTsv:

@@ -1,5 +1,6 @@
 """Ranking keys, gradient magnitudes, the regression fast path, and TSV I/O."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from conftest import (
 from negmine import rankers
 from negmine.candidates import CandidateTable
 from negmine.ioutil import ParseError
-from negmine.kb import Phrase
+from negmine.kb import KnowledgeBase, Phrase, TripleTable
 from negmine.rankers import (
     RANK_METHODS,
     GradientPredictor,
@@ -36,6 +37,7 @@ from negmine.scorer import (
     ThresholdMap,
     TokenVocab,
     encode_batch,
+    encode_rows,
     init_params,
     score_batch,
 )
@@ -329,8 +331,8 @@ class TestRowPath:
     triples, whatever the order of the table's phrases."""
 
     @staticmethod
-    def world():
-        vocab = TokenVocab(["R", "S"], ["a", "b", "c", "d"])
+    def world(relations=("R", "S")):
+        vocab = TokenVocab(relations, ["a", "b", "c", "d"])
         params = init_params(vocab, hidden_dim=6, seed=31)
         params.ff_b[:] = np.random.default_rng(32).normal(size=6)
         triples = [
@@ -366,6 +368,17 @@ class TestRowPath:
         out = rank_grad_fast(params, model, table)
         expected = dict(zip(triples, model.predict(encode_batch(params, triples))))
         np.testing.assert_array_equal([r.key for r in out], [expected[r.triple] for r in out])
+
+    @pytest.mark.parametrize("relations", [("R", "S"), ("S", "R")])
+    def test_kb_id_rows_are_encode_batch(self, relations):
+        params, _, triples = self.world(relations)
+        kb = KnowledgeBase([replace(x, label=1) for x in triples])
+        table = TripleTable(kb.ids.phrases, kb.ids.relations, kb.ids.rows)
+        assert table.relations == ("R", "S", "T")
+        pooled = encode_rows(params, table)
+        np.testing.assert_array_equal(pooled, encode_batch(params, list(kb.triples)))
+        expected = np.stack([encode(params, x) for x in kb.triples])
+        np.testing.assert_allclose(pooled, expected, rtol=1e-12)
 
     def test_predictor_features_are_encode_batch(self, monkeypatch):
         params, table, triples = self.world()

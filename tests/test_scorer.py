@@ -9,13 +9,12 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from negmine.candidates import generate_candidates
-from negmine.kb import HEAD, TAIL, KnowledgeBase, LabeledTriple, Phrase
+from negmine.kb import HEAD, TAIL, KnowledgeBase, LabeledTriple, Phrase, TripleTable
 from negmine.retrieval import build_index
 from negmine.scorer import (
     ADA_EPS,
     LAYOUT_BATCHES,
     LOSS_EPS,
-    PhraseTable,
     ScorerParams,
     ThresholdMap,
     TokenVocab,
@@ -24,6 +23,7 @@ from negmine.scorer import (
     _Adagrad,
     _loss_and_gradient_batch,
     _token_batches,
+    _token_view,
     _TokenLayout,
     best_threshold,
     embed_phrase,
@@ -545,8 +545,9 @@ def mixed_batch():
 
 def token_weights(vocab, table, rows):
     """The batch's distinct token ids and its normalized token-count matrix A,
-    built from scratch for one batch: the reference for `_TokenLayout`."""
-    tokens, offsets, lengths = table.arrays()
+    built from scratch for one batch of `table`'s id rows: the reference for
+    `_TokenLayout`."""
+    tokens, offsets, lengths, relation_tokens = _token_view(vocab, table)
     n = len(rows)
     heads, relations, tails = rows.T
     phrases = np.concatenate([heads, tails])
@@ -556,7 +557,7 @@ def token_weights(vocab, table, rows):
     positions = np.arange(ends[-1]) + np.repeat(offsets[phrases] - (ends - counts), counts)
     frame = np.empty((n, 4), dtype=np.int64)
     frame[:, :3] = (vocab.START, vocab.SEP, vocab.SEP)
-    frame[:, 3] = relations
+    frame[:, 3] = relation_tokens[relations]
     emitted = np.concatenate([tokens[positions], frame.ravel()])
     owner = np.concatenate(
         [np.repeat(np.tile(np.arange(n), 2), counts), np.repeat(np.arange(n), 4)]
@@ -574,9 +575,9 @@ def token_weights(vocab, table, rows):
 def batch_loss_and_gradient(params, triples):
     """`_loss_and_gradient_batch` over triples taken as one batch."""
     labels = np.array([float(x.label) for x in triples])
-    table = PhraseTable(params.vocab)
-    rows = table.encode(triples)
-    ids, a = _TokenLayout(params.vocab, table, rows).batch(0, len(rows))
+    table = TripleTable.from_triples(triples)
+    view = _token_view(params.vocab, table)
+    ids, a = _TokenLayout(params.vocab, view, table.rows).batch(0, len(triples))
     return _loss_and_gradient_batch(params, ids, a, labels)
 
 
@@ -604,10 +605,11 @@ class TestTokenLayout:
     def test_batches_equal_the_per_batch_reference(self, case):
         triples, batch_size = case
         vocab = TokenVocab(["r", "s"], LAYOUT_WORDS)
-        table = PhraseTable(vocab)
-        rows = table.encode(triples)
+        table = TripleTable.from_triples(triples)
+        rows = table.rows
+        view = _token_view(vocab, table)
         stops = []
-        for start, stop, ids, a in _token_batches(vocab, table, rows, batch_size):
+        for start, stop, ids, a in _token_batches(vocab, view, rows, batch_size):
             assert start == (stops[-1] if stops else 0)
             assert stop - start == min(batch_size, len(rows) - start)
             stops.append(stop)
@@ -619,13 +621,21 @@ class TestTokenLayout:
     def test_rows_are_encode_triple(self):
         vocab = TokenVocab(["r", "s"], LAYOUT_WORDS)
         triples = [t("r", "a b a", "c"), t("unseen", "zzz", "d d"), t("s", "b", "qqq a b c")]
-        table = PhraseTable(vocab)
-        layout = _TokenLayout(vocab, table, table.encode(triples))
-        for i, x in enumerate(triples):
-            row = layout.emitted[layout.indptr[i] : layout.indptr[i + 1]]
-            np.testing.assert_array_equal(row, vocab.encode_triple(x))
-            np.testing.assert_array_equal(layout.owner[layout.indptr[i] : layout.indptr[i + 1]], i)
-            assert (layout.weight[layout.indptr[i] : layout.indptr[i + 1]] == 1.0 / len(row)).all()
+        table = TripleTable.from_triples(triples)
+        # The same rows, relations numbered in reverse of the vocabulary's order.
+        rows = table.rows.copy()
+        rows[:, 1] = len(table.relations) - 1 - rows[:, 1]
+        reversed_table = TripleTable(table.phrases, table.relations[::-1], rows)
+        assert reversed_table.relations == ("s", "unseen", "r")
+        for table in (table, reversed_table):
+            layout = _TokenLayout(vocab, _token_view(vocab, table), table.rows)
+            for i, x in enumerate(triples):
+                row = layout.emitted[layout.indptr[i] : layout.indptr[i + 1]]
+                np.testing.assert_array_equal(row, vocab.encode_triple(x))
+                owner = layout.owner[layout.indptr[i] : layout.indptr[i + 1]]
+                np.testing.assert_array_equal(owner, i)
+                weight = layout.weight[layout.indptr[i] : layout.indptr[i + 1]]
+                assert (weight == 1.0 / len(row)).all()
 
     def test_partial_batches_on_both_sides_of_a_block_boundary(self):
         vocab = TokenVocab(["r", "s"], LAYOUT_WORDS)
@@ -633,9 +643,9 @@ class TestTokenLayout:
         block = LAYOUT_BATCHES * batch_size
         n = block + 2 * batch_size + 1
         triples = [t("rs"[i % 2], "a " * (1 + i % 3), "zzz b" if i % 5 else "c") for i in range(n)]
-        table = PhraseTable(vocab)
-        rows = table.encode(triples)
-        batches = list(_token_batches(vocab, table, rows, batch_size))
+        table = TripleTable.from_triples(triples)
+        rows = table.rows
+        batches = list(_token_batches(vocab, _token_view(vocab, table), rows, batch_size))
         spans = [(start, stop) for start, stop, *_ in batches]
         # The first block ends on a full batch; the last batch is partial.
         assert (block - batch_size, block) in spans and (block, block + batch_size) in spans
@@ -647,15 +657,17 @@ class TestTokenLayout:
 
 
 class TestBatchPaths:
-    def test_phrase_table_encodes_each_phrase_once(self):
+    def test_token_view_encodes_each_phrase_once(self):
         vocab = TokenVocab(["r"], ["a", "b"])
-        table = PhraseTable(vocab)
-        rows = table.encode([t("r", "a b", "b"), t("r", "b", "a b"), t("q", "zzz", "b")])
-        np.testing.assert_array_equal(
-            rows,
-            [[0, vocab.relation_ids["r"], 1], [1, vocab.relation_ids["r"], 0], [2, vocab.UNK, 1]],
+        table = TripleTable.from_triples(
+            [t("r", "a b", "b"), t("r", "b", "a b"), t("q", "zzz", "b")]
         )
-        tokens, offsets, lengths = table.arrays()
+        np.testing.assert_array_equal(table.rows, [[0, 0, 1], [1, 0, 0], [2, 1, 1]])
+        tokens, offsets, lengths, relations = _token_view(vocab, table)
+        np.testing.assert_array_equal(
+            relations[table.rows[:, 1]],
+            [vocab.relation_ids["r"], vocab.relation_ids["r"], vocab.UNK],
+        )
         np.testing.assert_array_equal(
             tokens, [vocab.word_ids["a"], vocab.word_ids["b"], vocab.word_ids["b"], vocab.UNK]
         )
