@@ -215,7 +215,7 @@ def write_candidates_tsv(candidates: CandidateTable, path: str | Path) -> None:
     texts = [p.text for p in candidates.phrases]
     relations = candidates.relations
     lines = [
-        f"{relations[r]}\t{texts[h]}\t{texts[t]}\t{texts[sh]}\t{texts[st]}\t{SLOTS[slot]}\t{rank}"
+        f"{relations[r]}\t{texts[h]}\t{texts[t]}\t{texts[sh]}\t{texts[st]}\t{SLOTS[slot]}\t{rank}\n"
         for (h, r, t), (sh, st), slot, rank in zip(
             candidates.rows.tolist(),
             candidates.sources.tolist(),
@@ -223,7 +223,7 @@ def write_candidates_tsv(candidates: CandidateTable, path: str | Path) -> None:
             candidates.neighbor_ranks.tolist(),
         )
     ]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_text(path, "".join(lines))
 
 
 # Largest neighbor rank a candidate table holds (its int64 column).

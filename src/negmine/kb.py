@@ -7,15 +7,16 @@ finite relation dictionary. The on-disk format is one triple per line:
 
 UTF-8, ``#``-prefixed comment lines ignored.
 
-Besides the object API, a KB offers one integer view of its stored positives,
-`KnowledgeBase.ids` (an `IdView`, built on first use): phrase ids are
-`phrase_positions`, relation ids number `sorted(relations)`, and every stored
-positive packs to one int64 key, kept sorted so that membership of a whole
-batch of id rows is one `np.searchsorted`. The negative generators
-(`candidates.generate_candidates`, `scorer.corruption_examples` and the
-`uniform`, `slots` and `sans` samplers) work on it. Its id rows have the
-format of a `TripleTable`, which the candidate tables and the scorer share,
-and whose `triples` is the one decoder of id rows back to triples.
+Besides the object API, a KB offers one integer view of its stored positives
+(which are its training split), `KnowledgeBase.ids` (an `IdView`, built with
+the KB): phrase ids are `phrase_positions`, relation ids number
+`sorted(relations)`, and every stored positive packs to one int64 key, kept
+sorted so that membership of a whole batch of id rows is one `np.searchsorted`.
+The negative generators (`candidates.generate_candidates`,
+`scorer.corruption_examples` and the `uniform`, `slots` and `sans` samplers)
+work on it. Its id rows have the format of a `TripleTable`, which the
+candidate tables and the scorer share, and whose `triples` is the one decoder
+of id rows back to triples.
 """
 from __future__ import annotations
 
@@ -161,9 +162,9 @@ class TripleTable:
         ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Splits:
-    train: list[LabeledTriple]
+    train: tuple[LabeledTriple, ...]
     validation: list[LabeledTriple]
     test: list[LabeledTriple]
 
@@ -171,33 +172,28 @@ class Splits:
 class KnowledgeBase:
     """Immutable store of positive triples with slot and membership indices.
 
-    ``triples`` holds the positive (training) statements. Evaluation splits,
-    when present, live in ``splits``; they are invisible to the slot index and
-    to membership checks, which only ever see stored positives.
+    ``triples`` holds the positive statements and is the training split,
+    ``splits.train``. Labeled evaluation splits, when present, live in
+    ``splits``; they are invisible to the slot index, to membership checks and
+    to ``ids`` (read for ``phrases``, ``phrase_positions`` and ``relations``).
     """
 
-    def __init__(self, positives: list[LabeledTriple], splits: Splits | None = None):
+    def __init__(self, positives: Iterable[LabeledTriple],
+                 validation: Iterable[LabeledTriple] = (), test: Iterable[LabeledTriple] = ()):
+        self.triples: tuple[LabeledTriple, ...] = tuple(positives)
         seen: set[tuple] = set()
-        for t in positives:
+        for t in self.triples:
             if t.label != 1:
                 raise ValueError(f"KB store accepts positives only, got label 0: {t}")
             if t.key() in seen:
                 raise ValueError(f"duplicate positive triple: {t.key()}")
             seen.add(t.key())
-        self.triples: tuple[LabeledTriple, ...] = tuple(positives)
         self._keys = seen
-        self.relations: frozenset[str] = frozenset(t.relation for t in positives)
-        # Phrase vocabulary in first-occurrence order (heads before tails per triple).
-        phrases: list[Phrase] = []
-        phrase_seen: set[Phrase] = set()
-        for t in positives:
-            for p in (t.head, t.tail):
-                if p not in phrase_seen:
-                    phrase_seen.add(p)
-                    phrases.append(p)
-        self.phrases: tuple[Phrase, ...] = tuple(phrases)
-        self.phrase_positions: dict[Phrase, int] = {p: i for i, p in enumerate(phrases)}
-        self.splits = splits if splits is not None else Splits(list(positives), [], [])
+        self.ids = IdView(TripleTable.from_triples(self.triples))
+        self.phrases: tuple[Phrase, ...] = self.ids.phrases
+        self.phrase_positions: dict[Phrase, int] = self.ids.phrase_positions
+        self.relations: frozenset[str] = frozenset(self.ids.relations)
+        self.splits = Splits(self.triples, list(validation), list(test))
 
     @cached_property
     def slot_index(self) -> dict[tuple[str, str], frozenset[Phrase]]:
@@ -218,11 +214,6 @@ class KnowledgeBase:
         """True iff (head, relation, tail) is a stored positive."""
         return triple.key() in self._keys
 
-    @cached_property
-    def ids(self) -> "IdView":
-        """Integer view of the stored positives, built on first use."""
-        return IdView(self)
-
     def __len__(self) -> int:
         return len(self.triples)
 
@@ -237,27 +228,31 @@ def _member(sorted_keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
 
 
 class IdView:
-    """A KB's stored positives as integer ids and packed int64 keys.
+    """Stored positives as integer ids and packed int64 keys.
 
-    Phrase ids are the KB's `phrase_positions`; relation ids number
-    `relations`, which is `sorted(kb.relations)`. Id -1 stands for a phrase
-    or relation the KB does not store. `rows` holds the stored positives as
+    Built from the `TripleTable` of the stored positives: phrase ids are the
+    table's (first-seen order, heads before tails), and relation ids number
+    `relations`, the table's relations sorted. Id -1 stands for a phrase or
+    relation the KB does not store. `rows` holds the stored positives as
     (head, relation, tail) id rows in KB order. A row packs to the key
     `(head * R + relation) * P + tail` (P phrases, R relations); `keys` holds
     the stored positives' keys sorted. `slot_keys` packs the slot index the
     same way: `(slot * R + relation) * P + phrase`, slot 0 head and 1 tail.
     """
 
-    def __init__(self, kb: KnowledgeBase):
-        self.phrases = kb.phrases
-        self.phrase_positions = kb.phrase_positions
-        self.n_phrases = len(kb.phrases)
-        self.relations: tuple[str, ...] = tuple(sorted(kb.relations))
+    def __init__(self, table: TripleTable):
+        self.phrases = table.phrases
+        self.phrase_positions = {p: i for i, p in enumerate(table.phrases)}
+        self.n_phrases = len(table.phrases)
+        self.relations: tuple[str, ...] = tuple(sorted(table.relations))
         self.relation_positions = {r: i for i, r in enumerate(self.relations)}
         if 2 * len(self.relations) * self.n_phrases**2 >= 2**63:
             raise ValueError("KB too large to pack its triples into int64 keys")
-        self.rows = self.encode(kb.triples)
-        heads, relations, tails = self.rows.T
+        # The table numbers relations first-seen; map them onto sorted order.
+        sorted_ids = np.asarray([self.relation_positions[r] for r in table.relations], np.int64)
+        heads, relations, tails = table.rows.T
+        relations = sorted_ids[relations]
+        self.rows = np.stack([heads, relations, tails], axis=1)
         self.keys = np.sort(self.pack(heads, relations, tails))
         self.slot_keys = np.unique(
             np.concatenate(
@@ -378,8 +373,8 @@ def build_true_negative_split(
     divided between validation and test (`validation_fraction` of them to
     validation); an equal number of positives of the same relation joins
     each evaluation split, so classes stay balanced per relation.
-    The remaining positives form the training split and the returned KB's
-    triple store.
+    The remaining positives form the returned KB's triple store, which is its
+    training split.
     """
     base_relations = sorted(
         r for r in kb.relations if (negation_prefix + r) in kb.relations
@@ -388,17 +383,17 @@ def build_true_negative_split(
         raise ValueError(f"no relation pairs (r, {negation_prefix}r) found in KB")
     base_set = set(base_relations)
 
-    positives_by_rel: dict[str, list[LabeledTriple]] = defaultdict(list)
+    positives_by_rel: dict[str, list[int]] = defaultdict(list)  # indices into kb.triples
     negatives_by_rel: dict[str, list[LabeledTriple]] = defaultdict(list)
-    for t in kb.triples:
+    for i, t in enumerate(kb.triples):
         if t.relation in base_set:
-            positives_by_rel[t.relation].append(t)
+            positives_by_rel[t.relation].append(i)
         elif t.relation.startswith(negation_prefix) and t.relation[len(negation_prefix):] in base_set:
             rewritten = LabeledTriple(t.head, t.relation[len(negation_prefix):], t.tail, 0)
             negatives_by_rel[rewritten.relation].append(rewritten)
 
     rng = np.random.default_rng(seed)
-    train: list[LabeledTriple] = []
+    train: list[int] = []
     val_pos: list[LabeledTriple] = []
     val_neg: list[LabeledTriple] = []
     test_pos: list[LabeledTriple] = []
@@ -417,8 +412,8 @@ def build_true_negative_split(
                 "and still leave a training split"
             )
         pos_perm = rng.permutation(len(pos))
-        g_val_pos = [pos[i] for i in pos_perm[: len(g_val_neg)]]
-        g_test_pos = [pos[i] for i in pos_perm[len(g_val_neg): n_eval_pos]]
+        g_val_pos = [kb.triples[pos[i]] for i in pos_perm[: len(g_val_neg)]]
+        g_test_pos = [kb.triples[pos[i]] for i in pos_perm[len(g_val_neg): n_eval_pos]]
         held_out = set(pos_perm[:n_eval_pos])
         train.extend(pos[i] for i in range(len(pos)) if i not in held_out)
         val_pos.extend(g_val_pos)
@@ -426,8 +421,7 @@ def build_true_negative_split(
         test_pos.extend(g_test_pos)
         test_neg.extend(g_test_neg)
 
-    # Keep the surviving training positives in original KB order.
-    train_keys = {t.key() for t in train}
-    train_ordered = [t for t in kb.triples if t.key() in train_keys]
-    splits = Splits(train_ordered, val_pos + val_neg, test_pos + test_neg)
-    return KnowledgeBase(train_ordered, splits)
+    # The surviving training positives, in original KB order.
+    return KnowledgeBase(
+        [kb.triples[i] for i in sorted(train)], val_pos + val_neg, test_pos + test_neg
+    )

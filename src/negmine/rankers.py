@@ -277,7 +277,7 @@ def write_ranked_tsv(ranked: RankedTable, path: str | Path) -> None:
     texts = [p.text for p in candidates.phrases]
     relations = candidates.relations
     lines = [
-        f"{rank}\t{relations[r]}\t{texts[h]}\t{texts[t]}\t{format_float(key)}\t{method}"
+        f"{rank}\t{relations[r]}\t{texts[h]}\t{texts[t]}\t{format_float(key)}\t{method}\n"
         for rank, (h, r, t), key, method in zip(
             ranked.ranks.tolist(),
             candidates.rows.tolist(),
@@ -285,7 +285,7 @@ def write_ranked_tsv(ranked: RankedTable, path: str | Path) -> None:
             ranked.methods.tolist(),
         )
     ]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_text(path, "".join(lines))
 
 
 def read_ranked_tsv(path: str | Path) -> RankedTable:

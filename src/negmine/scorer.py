@@ -79,10 +79,10 @@ class TokenVocab:
 
     @classmethod
     def from_kb(cls, kb: KnowledgeBase) -> "TokenVocab":
-        """Vocabulary over every relation and word visible in any split."""
+        """Vocabulary over every relation and word of the KB and its evaluation splits."""
         relations: set[str] = set(kb.relations)
         words: set[str] = set()
-        for split in (kb.splits.train, kb.splits.validation, kb.splits.test):
+        for split in (kb.splits.validation, kb.splits.test):
             for t in split:
                 relations.add(t.relation)
                 for phrase in (t.head, t.tail):
@@ -595,7 +595,7 @@ def corruption_examples(
 ) -> np.ndarray:
     """One corrupted negative per positive per configured mode; skips logged.
 
-    `positives` are (n, 3) id rows of `kb.ids` (`kb.ids.encode(triples)`).
+    `positives` are (n, 3) id rows of `kb.ids` (such as `kb.ids.rows`).
     Returns the negatives as id rows too: head phrase id, relation id, tail
     phrase id, in (positive, mode) order. A -1 of a positive (a phrase or
     relation the KB does not store) stays -1.
@@ -608,15 +608,12 @@ def corruption_examples(
 def train_contrastive(
     params: ScorerParams, kb: KnowledgeBase, config: TrainConfig
 ) -> tuple[ScorerParams, list[float]]:
-    """Fit the scorer on KB positives against fresh per-epoch corruptions."""
-    positives = list(kb.splits.train)
-    if not positives:
+    """Fit the scorer on the KB's positives, `kb.ids.rows`, against fresh per-epoch corruptions."""
+    pos_ids = kb.ids.rows
+    if not len(pos_ids):
         raise ValueError("training split is empty")
     rng = np.random.default_rng([config.seed, 2])
-    pos_ids = kb.ids.encode(positives)
-    if (pos_ids < 0).any():
-        raise ValueError("training split holds a phrase or relation the KB does not store")
-    pos_labels = np.ones(len(positives))
+    pos_labels = np.ones(len(pos_ids))
 
     def epoch_examples():
         negatives = corruption_examples(kb, pos_ids, config, rng)

@@ -1,9 +1,24 @@
-"""The benchmark tracer's hooks: every package name it wraps exists, and
-uninstalling puts the original objects back."""
+"""What the benchmark relies on: every package name its tracer wraps or its
+runner imports exists, uninstalling the tracer puts the original objects
+back, and the runner's output checks work on a small world."""
+import ast
+import importlib
+import math
 import sys
 from pathlib import Path
 
 import negmine.cli  # noqa: F401  (the tracer finds the package's modules in sys.modules)
+from negmine.candidates import (
+    generate_candidates,
+    read_candidates_tsv,
+    validate_candidates,
+    write_candidates_tsv,
+)
+from negmine.kb import KnowledgeBase, build_true_negative_split, load_tsv, save_tsv
+from negmine.rankers import rank_none, read_ranked_tsv, write_ranked_tsv
+from negmine.retrieval import build_index
+from negmine.scorer import TokenVocab, embed_phrase, init_params
+from negmine.synthetic import SyntheticSpec, generate_kb
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -32,3 +47,36 @@ def test_tracer_installs_and_restores_every_hook(monkeypatch):
     for ns, names in before.values():
         for attr, original in names.items():
             assert vars(ns).get(attr) is original, f"{ns.__name__}.{attr} not restored"
+
+
+def test_runner_imports_resolve():
+    tree = ast.parse((BENCH / "run.py").read_text(encoding="utf-8"))
+    names = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("negmine")
+        for alias in node.names
+    ]
+    assert names
+    missing = [f"{m}.{n}" for m, n in names if not hasattr(importlib.import_module(m), n)]
+    assert not missing, f"bench/run.py imports missing names: {missing}"
+
+
+def test_runner_checks_work_on_a_small_world(tmp_path):
+    """The calls of `bench/run.py`'s `check_outputs`, on a small synthetic world."""
+    spec = SyntheticSpec(clusters=4, cluster_size=10, relations=8, negative_fraction=0.3, seed=1)
+    save_tsv(list(generate_kb(spec).triples), tmp_path / "kb.tsv")
+    kb = build_true_negative_split(KnowledgeBase(load_tsv(tmp_path / "kb.tsv")), "Not", seed=0)
+    assert kb.splits.train
+    assert {p for x in kb.splits.train for p in (x.head, x.tail)} <= set(kb.phrases)
+    params = init_params(TokenVocab.from_kb(kb), hidden_dim=8, seed=0)
+    index = build_index(list(kb.phrases), lambda p: embed_phrase(params, p))
+    k = 6
+    write_candidates_tsv(generate_candidates(kb, index, k), tmp_path / "candidates.tsv")
+    candidates = read_candidates_tsv(tmp_path / "candidates.tsv")
+    assert candidates and validate_candidates(kb, candidates, k).ok()
+    write_ranked_tsv(rank_none(candidates, seed=0), tmp_path / "ranked.tsv")
+    rows = read_ranked_tsv(tmp_path / "ranked.tsv")
+    assert sorted(r.rank for r in rows) == list(range(1, len(candidates) + 1))
+    assert all(r.method == "none" and math.isfinite(r.key) for r in rows)
+    assert {r.triple.relation for r in rows} <= kb.relations

@@ -166,6 +166,12 @@ class TestCandidateTsv:
         write_candidates_tsv(candidate_table([cand]), path)
         assert path.read_text() == "R\tx y\tb\ta\tb\thead\t2\n"
 
+    def test_empty_table_round_trips_through_an_empty_file(self, tmp_path):
+        path = tmp_path / "cands.tsv"
+        write_candidates_tsv(candidate_table([]), path)
+        assert path.read_bytes() == b""
+        assert list(read_candidates_tsv(path)) == []
+
     def test_rewrite_byte_identical(self, tmp_path):
         cand = Candidate(t("R", "x", "b", 0), t("R", "a", "b"), TAIL, 1)
         a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"

@@ -1,4 +1,5 @@
 """Triple store, TSV parsing, slot indices, and split construction."""
+import re
 from dataclasses import replace
 
 import pytest
@@ -75,6 +76,36 @@ class TestKnowledgeBase:
             KnowledgeBase([t("r", "a", "b"), t("r", "a", "b")])
         with pytest.raises(ValueError):
             KnowledgeBase([t("r", "a", "b", label=0)])
+
+    def test_duplicate_error_names_the_first_repeated_statement(self):
+        triples = [t("r", "a", "b"), t("s", "c", "d"), t("s", "c", "d"), t("r", "a", "b")]
+        message = f"duplicate positive triple: {t('s', 'c', 'd').key()}"
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            KnowledgeBase(triples)
+
+    def test_one_shot_iterable_is_read_once(self):
+        triples = [t("r", "a", "b"), t("s", "c", "d")]
+        kb = KnowledgeBase(x for x in triples)
+        assert kb.triples == tuple(triples)
+        assert kb.ids.decode(kb.ids.rows) == [replace(x, label=0) for x in triples]
+        with pytest.raises(ValueError, match="positives only"):
+            KnowledgeBase(x for x in [t("r", "a", "b", label=0)])
+
+    def test_training_split_is_the_store(self):
+        kb = KnowledgeBase([t("r", "a", "b")])
+        assert kb.splits.train is kb.triples
+        assert kb.splits.validation == kb.splits.test == []
+
+    def test_id_view_numbers_relations_sorted(self):
+        # First-seen order is s, q, r; the view numbers relations sorted.
+        triples = [t("s", "a", "b"), t("q", "b", "c"), t("r", "a", "c"), t("s", "c", "a")]
+        kb = KnowledgeBase(triples)
+        assert kb.ids.relations == ("q", "r", "s")
+        assert kb.ids.rows[:, 1].tolist() == [2, 0, 1, 2]
+        assert kb.ids.decode(kb.ids.rows) == [replace(x, label=0) for x in kb.triples]
+        assert kb.ids.phrases == kb.phrases == tuple(map(Phrase.parse, "abc"))
+        assert kb.phrase_positions == {p: i for i, p in enumerate(kb.phrases)}
+        assert kb.ids.contains(*kb.ids.rows.T).all()
 
     def test_slot_index_and_membership(self):
         kb = KnowledgeBase([t("r", "a", "b"), t("r", "c", "b"), t("s", "a", "d")])
@@ -216,7 +247,11 @@ class TestTrueNegativeSplit:
         assert all(x.label == 1 for x in out.splits.train)
         # 20 positives minus 8 held out for eval.
         assert len(out.splits.train) == 12
-        assert out.splits.train == list(out.triples)
+        assert out.splits.train == out.triples
+
+    def test_training_split_is_the_store(self):
+        out = build_true_negative_split(self._kb(), seed=7)
+        assert out.splits.train is out.triples
 
     def test_per_relation_balance(self):
         kb = self._kb()

@@ -523,6 +523,12 @@ class TestRankedTsv:
         write_ranked_tsv(ranked_table([row]), path)
         assert path.read_text() == "1\tR\ta b\tc\t0.25\ttheta\n"
 
+    def test_empty_table_round_trips_through_an_empty_file(self, tmp_path):
+        path = tmp_path / "r.tsv"
+        write_ranked_tsv(ranked_table([]), path)
+        assert path.read_bytes() == b""
+        assert list(read_ranked_tsv(path)) == []
+
     def test_method_validated(self, tmp_path):
         with pytest.raises(ValueError):
             write_ranked_tsv(
