@@ -40,6 +40,7 @@ from .evaluation import (
 from .ioutil import DirectoryLock, LockError, ParseError, atomic_write_text, derive_seed, format_float
 from .kb import KnowledgeBase, build_true_negative_split, load_tsv, save_tsv
 from .rankers import (
+    GradientPredictor,
     rank_grad,
     rank_grad_fast,
     rank_none,
@@ -217,10 +218,12 @@ def cmd_rank(config: PipelineConfig, dry_run: bool) -> None:
             ranked = rank_grad(params, candidates)
         elif config.method == "grad-fast":
             n = min(config.n, len(candidates))
-            if n < config.n:
+            if 0 < n < config.n:
                 print(f"note: predictor sample clamped to {n} (candidate count)")
             rng = np.random.default_rng([config.seed, 40])
-            predictor = fit_gradient_predictor(params, candidates, n, rng)
+            predictor = GradientPredictor(params.hidden_dim)  # an empty list has nothing to fit
+            if n:
+                predictor = fit_gradient_predictor(params, candidates, n, rng)
             ranked = rank_grad_fast(params, predictor, candidates)
         else:
             ranked = rank_none(candidates, seed=config.seed)

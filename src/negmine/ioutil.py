@@ -14,7 +14,6 @@ from __future__ import annotations
 import logging
 import os
 import re
-import tempfile
 from pathlib import Path
 from typing import Callable, Iterator, TypeVar
 
@@ -84,8 +83,10 @@ def format_float(x: float) -> str:
 
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
+    """Write `data` beside `path`, then rename; the mode is `open`'s, 0o666 less the umask."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as f:
             f.write(data)

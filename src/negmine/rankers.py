@@ -8,9 +8,10 @@ ranker decodes to triples only the rows its backward passes take. Four
 methods: `theta`, the classification score among the below-threshold pool
 ("almost positive" first); `grad`, the L2 magnitude of the loss gradient
 under a forced positive label (larger means the statement fights the
-trained beliefs harder); `grad-fast`, a linear least-squares fit on a sample
-of exact norms that predicts the other magnitudes from pooled vectors,
-skipping their backward passes; and `none`, a seeded shuffle, the
+trained beliefs harder), one backward pass per candidate; `grad-fast`, a
+linear least-squares fit on a sample of exact norms, taken in closed form
+from forward passes (`scorer.gradient_norms`), that predicts the other
+magnitudes from pooled vectors; and `none`, a seeded shuffle, the
 no-ranking ablation.
 """
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .scorer import (  # noqa: F401  (score_batch re-exported for the benchmark 
     ScorerParams,
     ThresholdMap,
     encode_rows,
+    gradient_norms,
     loss_and_gradient,
     score_batch,
     score_rows,
@@ -232,15 +234,15 @@ def fit_gradient_predictor(
     """Fit the magnitude regressor on n uniformly sampled candidates.
 
     Features are the scorer's pooled vectors; targets are the exact gradient
-    magnitudes. Sampling is uniform without replacement.
+    magnitudes, from `gradient_norms`. Sampling is uniform without replacement.
     """
     if n < 2:
         raise ValueError(f"need at least 2 training candidates, got n={n}")
     if n > len(candidates):
         raise ValueError(f"n={n} exceeds candidate count {len(candidates)}")
-    chosen = rng.choice(len(candidates), size=n, replace=False)
-    features = encode_rows(params, candidates.take(chosen))
-    targets = np.array([gradient_magnitude(params, t) for t in candidates.triples(chosen)])
+    sample = candidates.take(rng.choice(len(candidates), size=n, replace=False))
+    features = encode_rows(params, sample)
+    targets = gradient_norms(params, sample)
     if not np.isfinite(targets).all():
         raise ValueError("non-finite gradient magnitude among the predictor's training targets")
     return fit_mae_regressor(features, targets)

@@ -9,10 +9,12 @@ analytic gradients over every parameter are exposed for gradient-based
 ranking.
 
 `loss_and_gradient` works on one triple and is the reference for the
-batch gradients; the tests hold the single-triple forward pass that the
-batch one is checked against. The batch paths take a `kb.TripleTable` of
-id rows, as the KB's `ids` and the candidate tables hold them: `encode_rows`
-and `score_rows` take a table, and `encode_batch` and `score_batch` build
+batch gradients and for `gradient_norms`, which gives each row's gradient
+norm at label 1 in closed form from forward quantities; the tests hold the
+single-triple forward pass that the batch one is checked against. The
+batch paths take a `kb.TripleTable` of id rows, as the KB's `ids` and the
+candidate tables hold them: `encode_rows`, `score_rows` and
+`gradient_norms` take a table, and `encode_batch` and `score_batch` build
 one from triples. Each call, or training run, encodes the table's phrases
 and relations to token ids once. Training pools a batch through its
 normalized token-count matrix `A` (batch x the batch's distinct tokens), so
@@ -136,8 +138,8 @@ def _token_view(vocab: TokenVocab, table: TripleTable | IdView) -> _TokenView:
 class ScorerParams:
     """Full parameter set: embeddings, residual feedforward, linear head.
 
-    `grad_evals` counts backward passes, so forward-only code paths can
-    prove they never differentiate.
+    `grad_evals` counts gradient evaluations, backward or closed-form, so
+    forward-only code paths can prove they never differentiate.
     """
 
     def __init__(
@@ -218,7 +220,7 @@ def encode_rows(params: ScorerParams, table: TripleTable) -> np.ndarray:
     """
     if not len(table.rows):
         return np.zeros((0, params.hidden_dim))
-    _, h = _hidden(params, _pool_phrase_sums(params, table))
+    _, h = _hidden(params, _pool_phrase_sums(params, _token_view(params.vocab, table), table.rows))
     return h
 
 
@@ -357,16 +359,16 @@ def _hidden(params: ScorerParams, m: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return t, m + t
 
 
-def _pool_phrase_sums(params: ScorerParams, table: TripleTable) -> np.ndarray:
-    """Token means of the table's rows from per-phrase embedding sums, forward only.
+def _pool_phrase_sums(params: ScorerParams, view: _TokenView, rows: np.ndarray) -> np.ndarray:
+    """Token means of id `rows` over `view` from per-phrase embedding sums, forward only.
 
     Mean pooling is linear in the token rows, so each distinct phrase's
     embedding sum is gathered once and shared by every triple that uses it.
     """
     vocab = params.vocab
-    tokens, offsets, lengths, relation_tokens = _token_view(vocab, table)
+    tokens, offsets, lengths, relation_tokens = view
     sums = np.add.reduceat(params.emb[tokens], offsets, axis=0)
-    heads, relations, tails = table.rows.T
+    heads, relations, tails = rows.T
     # encode_triple layout: [start, head tokens, sep, relation, sep, tail tokens]
     frame = params.emb[vocab.START] + 2.0 * params.emb[vocab.SEP]
     m = frame + params.emb[relation_tokens[relations]] + sums[heads] + sums[tails]
@@ -491,6 +493,39 @@ def _loss_and_gradient_batch(
     dm = dh + da @ params.ff_w
     params.grad_evals += n
     return loss, _BatchGrads(ids, a.T @ dm, dff_w, dff_b, dw, db)
+
+
+def gradient_norms(params: ScorerParams, table: TripleTable) -> np.ndarray:
+    """Each row's `loss_and_gradient(params, triple, 1)[1].norm()`, from forward quantities.
+
+    |g|^2 = dz^2 (|h|^2 + 1) + |da|^2 (|m|^2 + 1) + |dm|^2 sum_j A_ij^2, the
+    per-example gradient-norm identity (Goodfellow 2015, arXiv:1510.01799);
+    sum_j A_ij^2 comes from each row's token counts, so no A is built.
+    """
+    n = len(table.rows)
+    if not n:
+        return np.zeros(0)
+    view = _token_view(params.vocab, table)
+    m = _pool_phrase_sums(params, view, table.rows)
+    t, h = _hidden(params, m)
+    dz = sigmoid(h @ params.w + params.b) - 1.0
+    dh = dz[:, None] * params.w
+    da = dh * (1.0 - t * t)
+    dm = dh + da @ params.ff_w
+    layout = _TokenLayout(params.vocab, view, table.rows)
+    cells, counts = np.unique(layout.owner * layout.vocab_size + layout.emitted, return_counts=True)
+    a2 = np.bincount(cells // layout.vocab_size, weights=counts * counts, minlength=n)
+    a2 /= np.diff(layout.indptr) ** 2
+
+    def sq(x):
+        return np.einsum("ij,ij->i", x, x)
+
+    # Factors multiply before squaring, as in the oracle's outer products, so
+    # a zero factor beside an overflowing one gives 0, not 0 * inf.
+    da2 = sq(da)
+    total = sq(dz[:, None] * h) + dz * dz + da2 + sq(np.sqrt(da2)[:, None] * m) + sq(dm) * a2
+    params.grad_evals += n
+    return np.sqrt(total)
 
 
 class _Adagrad:

@@ -170,6 +170,33 @@ class TestExitCodes:
         assert all(line.startswith("negmine: ") for line in err.splitlines()), err
         assert not (tmp_path / "out" / "ranked.tsv").exists()
 
+    def test_empty_candidate_file_ranks_to_empty_files(self, workspace, tmp_path, capsys):
+        for stage in ("train", "thresholds", "candidates"):
+            assert run(stage, "--config", str(workspace)) == 0
+        out = tmp_path / "out"
+        (out / "candidates.tsv").write_text("", encoding="utf-8")
+        for method in RANK_METHODS:
+            ranked = out / f"ranked-{method}.tsv"
+            capsys.readouterr()
+            argv = ["--config", str(workspace), "--method", method, "--ranked", str(ranked)]
+            code = run("rank", *argv)
+            captured = capsys.readouterr()
+            assert code == 0, (method, captured.err)
+            assert captured.out == f"wrote {ranked}\n" and captured.err == ""
+            assert ranked.read_bytes() == b""
+
+    def test_one_candidate_is_too_few_for_grad_fast(self, workspace, tmp_path, capsys):
+        for stage in ("train", "thresholds", "candidates"):
+            assert run(stage, "--config", str(workspace)) == 0
+        candidates = tmp_path / "out" / "candidates.tsv"
+        first = candidates.read_text(encoding="utf-8").splitlines(keepends=True)[0]
+        candidates.write_text(first, encoding="utf-8")
+        capsys.readouterr()
+        assert run("rank", "--config", str(workspace), "--method", "grad-fast") == 3
+        err = capsys.readouterr().err
+        assert err == "negmine: invalid: need at least 2 training candidates, got n=1\n"
+        assert not (tmp_path / "out" / "ranked.tsv").exists()
+
     @pytest.mark.parametrize("where", ["same-file", "two-files"])
     def test_repeated_trial_writes_no_report(self, workspace, tmp_path, capsys, where):
         assert run("evaluate", "--config", str(workspace), "--sampler", "uniform",
@@ -222,6 +249,19 @@ class TestWarnings:
             failures = [line for line in printed if not line.startswith("negmine: warning: ")]
             assert len(printed) == 2 and len(failures) == 1
             assert failures[0].startswith("negmine: invalid: thresholds needs a labeled validation split")
+
+
+class TestFileModes:
+    def test_artifacts_follow_the_umask(self, workspace, tmp_path):
+        old = os.umask(0o022)
+        try:
+            assert run("train", "--config", str(workspace)) == 0
+        finally:
+            os.umask(old)
+        out = tmp_path / "out"
+        for name in ("train-loss.tsv", "scorer.ckpt"):
+            assert (out / name).stat().st_mode & 0o777 == 0o644, name
+        assert sorted(p.name for p in out.iterdir()) == ["scorer.ckpt", "train-loss.tsv"]
 
 
 class TestDryRun:

@@ -38,6 +38,7 @@ from negmine.scorer import (
     TokenVocab,
     encode_batch,
     encode_rows,
+    gradient_norms,
     init_params,
     score_batch,
 )
@@ -249,13 +250,20 @@ class TestOracleCalls:
         assert calls == [(c, 1) for c in candidates]
         assert params.grad_evals == before + len(candidates)
 
-    def test_fit_gradient_predictor_calls_n_times(self, calls):
+    def test_fit_gradient_predictor_calls_n_times(self, calls, monkeypatch):
+        # The predictor's n targets come from the closed form, not the oracle.
         params, candidates = random_setup(n=30, seed=24)
+        sampled = []
+        norms = rankers.gradient_norms
+        monkeypatch.setattr(
+            rankers, "gradient_norms", lambda p, table: sampled.append(table) or norms(p, table)
+        )
         before = params.grad_evals
         fit_gradient_predictor(params, from_triples(candidates), 11, np.random.default_rng(9))
-        assert len(calls) == 11 and len({c for c, _ in calls}) == 11
-        assert {label for _, label in calls} == {1}
+        assert calls == []
         assert params.grad_evals == before + 11
+        (table,) = sampled
+        assert len(table) == 11 and len(set(table.triples())) == 11
 
 
 class TestPredictor:
@@ -388,11 +396,13 @@ class TestRowPath:
             rankers, "fit_mae_regressor", lambda x, y: fitted.append((x, y)) or fit(x, y)
         )
         fit_gradient_predictor(params, table, 5, np.random.default_rng(34))
-        chosen = [triples[i] for i in np.random.default_rng(34).choice(8, size=5, replace=False)]
+        indices = np.random.default_rng(34).choice(8, size=5, replace=False)
+        chosen = [triples[i] for i in indices]
         (features, targets), = fitted
         np.testing.assert_array_equal(features, encode_batch(params, chosen))
-        np.testing.assert_array_equal(
-            targets, [gradient_magnitude(params, triple) for triple in chosen]
+        np.testing.assert_array_equal(targets, gradient_norms(params, table.take(indices)))
+        np.testing.assert_allclose(
+            targets, [gradient_magnitude(params, triple) for triple in chosen], rtol=1e-12
         )
 
 

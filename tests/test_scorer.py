@@ -28,6 +28,7 @@ from negmine.scorer import (
     best_threshold,
     embed_phrase,
     fit_thresholds,
+    gradient_norms,
     init_params,
     loss_and_gradient,
     score_batch,
@@ -526,6 +527,63 @@ class TestOracleMatchesReference:
             for label in (0, 1):
                 assert_oracle_is_reference(params, c.triple, label)
 
+
+
+def oracle_norms(params, triples):
+    return [loss_and_gradient(params, x, 1)[1].norm() for x in triples]
+
+
+@st.composite
+def norm_cases(draw):
+    """Params (hidden_dim from 2) and triples of mixed phrase lengths, with
+    unknown words and relations and tokens repeated within and across head
+    and tail; sometimes saturated, so that p == 1.0 on every row."""
+    vocab = TokenVocab(["r", "s"], ORACLE_WORDS)
+    params = init_params(vocab, hidden_dim=draw(st.integers(2, 6)), seed=draw(st.integers(0, 99)))
+    params.ff_b[:] = np.random.default_rng(draw(st.integers(0, 99))).normal(size=params.hidden_dim)
+    params.b = draw(st.floats(-3.0, 3.0))
+    if draw(st.booleans()):
+        params.b = 100.0
+    word = st.sampled_from(ORACLE_WORDS + ["zzz", "qqq"])
+    phrase = st.lists(word, min_size=1, max_size=9).map(" ".join)
+    triple = st.builds(t, st.sampled_from(["r", "s", "unseen"]), phrase, phrase)
+    return params, draw(st.lists(triple, max_size=8))
+
+
+class TestGradientNorms:
+    """`gradient_norms` is the oracle's norm at label 1, row by row."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(norm_cases())
+    @example((init_params(TokenVocab(["r", "s"], ORACLE_WORDS), 2, 3), [
+        t("unseen", "zzz qqq zzz", "qqq"),  # UNK words and relation: one token, counted 5 times
+        t("r", "a a b", "b a"),
+        t("s", "d", "c c c c c c c c c"),
+    ]))
+    @example((init_params(TokenVocab(["r", "s"], ORACLE_WORDS), 4, 1), []))
+    def test_random_tables(self, case):
+        params, triples = case
+        before = params.grad_evals
+        norms = gradient_norms(params, TripleTable.from_triples(triples))
+        assert params.grad_evals == before + len(triples)
+        assert norms.shape == (len(triples),)
+        np.testing.assert_allclose(norms, oracle_norms(params, triples), rtol=1e-12)
+
+    def test_saturated_rows_beside_overflowing_squares(self):
+        # p == 1.0 exactly, while |m|^2 and |h|^2 overflow: the oracle's zero
+        # factors give 0, and so must the closed form, not 0 * inf.
+        vocab = TokenVocab(["r"], ORACLE_WORDS)
+        params = init_params(vocab, hidden_dim=3, seed=2)
+        params.emb[:] = np.abs(params.emb) * 1e160
+        params.ff_w[:] = 0.0
+        params.w[:] = np.abs(params.w)
+        triples = [t("r", "a b", "c"), t("r", "d d", "zzz a")]
+        with np.errstate(over="ignore"):
+            assert np.isinf(encode(params, triples[0]) @ encode(params, triples[0]))
+        with np.errstate(over="raise", invalid="raise"):
+            norms = gradient_norms(params, TripleTable.from_triples(triples))
+        np.testing.assert_array_equal(norms, oracle_norms(params, triples))
+        np.testing.assert_array_equal(norms, [0.0, 0.0])
 
 def mixed_batch():
     """Params with a non-zero feedforward bias and a batch that mixes triple
