@@ -73,9 +73,6 @@ class CandidateTable(TripleTable, Sequence[Candidate]):
             raise ValueError("candidate triples are negatives, got label 1")
         return super().from_triples(triples)
 
-    def __len__(self) -> int:
-        return len(self.rows)
-
     def take(self, indices: np.ndarray) -> "CandidateTable":
         """The table of rows `indices`, in that order, over the same phrases and relations."""
         columns = (self.rows, self.sources, self.slots, self.neighbor_ranks)

@@ -6,21 +6,22 @@ on the validation split, and scores the held-out test split. Reports carry
 per-trial accuracy/precision/recall, their means and standard deviations,
 and two-sided Welch t-test p-values against a named baseline sampler.
 
-A ranked source is a `RankedTable`: each trial pairs positives with rows of
-it by relation (`assign_ranked`) and decodes only the rows it draws.
+A trial trains on one `kb.TripleTable` of id rows, never decoded: the stored
+positives, then a sampler's draws or the `RankedTable` rows `assign_ranked` picks.
 """
 from __future__ import annotations
 
 import math
 from collections import deque
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .ioutil import ParseError, atomic_write_text, derive_seed, format_float, read_lines
-from .kb import KnowledgeBase, LabeledTriple
+from .kb import KnowledgeBase, TripleTable
 from .rankers import RankedTable
 from .samplers import (
     AntonymLexicon,
@@ -332,32 +333,22 @@ def _draw_negatives(
     config: ExperimentConfig,
     graph: EntityGraph | None,
     trial_seed: int,
-) -> list[LabeledTriple]:
+) -> TripleTable:
+    """The trial's negatives for the KB's positives, in positive order."""
     train = kb.splits.train
+    n = config.negatives_per_positive
     if config.sampler in RANKED_SAMPLERS:
         ranked = config.ranked.candidates
         relations = [ranked.relations[r] for r in ranked.rows[:, 1].tolist()]
-        chosen = assign_ranked(
-            [t.relation for t in train], relations, config.negatives_per_positive
-        )
-        return ranked.triples(chosen)
+        return ranked.take(assign_ranked([t.relation for t in train], relations, n))
     # Salt 50: a stream no other draw of the trial uses. Every sampler draws
     # from it alone, positives in order.
     rng = np.random.default_rng([trial_seed, 50])
-    n = config.negatives_per_positive
-    if config.sampler == "uniform":
-        return sample_uniform(kb, train, n, rng)
-    if config.sampler == "slots":
-        return sample_slots(kb, train, n, rng)
-    if config.sampler == "sans":
-        return sample_sans(graph, kb, train, n, rng)
-    out: list[LabeledTriple] = []
-    for positive in train:
-        for _ in range(n):
-            neg = sample_antonyms(config.lexicon, kb, positive, rng)
-            if neg is not None:
-                out.append(neg)
-    return out
+    draw = {"uniform": sample_uniform, "slots": sample_slots, "sans": partial(sample_sans, graph)}
+    if config.sampler in draw:
+        return draw[config.sampler](kb, kb.ids.rows, n, rng)
+    edits = (sample_antonyms(config.lexicon, kb, p, rng) for p in train for _ in range(n))
+    return TripleTable.from_triples(edit for edit in edits if edit is not None)
 
 
 def run_experiment(kb: KnowledgeBase, config: ExperimentConfig) -> EvaluationReport:
@@ -375,21 +366,23 @@ def run_experiment(kb: KnowledgeBase, config: ExperimentConfig) -> EvaluationRep
         raise ValueError("evaluation needs non-empty validation and test splits")
     vocab = TokenVocab.from_kb(kb)
     graph = EntityGraph.from_kb(kb, config.hops) if config.sampler == "sans" else None
+    positives = kb.ids.table(kb.ids.rows)
     results: list[TrialResult] = []
     for trial in range(1, config.trials + 1):
         trial_seed = derive_seed(config.seed, trial)
         negatives = _draw_negatives(kb, config, graph, trial_seed)
-        examples = list(kb.splits.train) + negatives
+        labels = np.repeat([1.0, 0.0], [len(positives), len(negatives)])
         params = init_params(vocab, hidden_dim=config.hidden_dim, seed=trial_seed)
-        params, _ = train_supervised(params, examples, replace(config.train, seed=trial_seed))
+        train_config = replace(config.train, seed=trial_seed)
+        params, _ = train_supervised(params, positives.concat(negatives), train_config, labels)
         thresholds = fit_thresholds(params, kb.splits.validation)
         scores = score_batch(params, kb.splits.test)
         predictions = [
             float(s) > thresholds.threshold_for(t.relation)
             for s, t in zip(scores, kb.splits.test)
         ]
-        labels = [t.label == 1 for t in kb.splits.test]
-        accuracy, precision, recall = metrics(predictions, labels)
+        truth = [t.label == 1 for t in kb.splits.test]
+        accuracy, precision, recall = metrics(predictions, truth)
         results.append(TrialResult(config.sampler, trial, accuracy, precision, recall))
     return EvaluationReport(results, baseline=config.baseline)
 

@@ -133,7 +133,7 @@ class DirectoryLock:
         return self
 
     def _create(self) -> int:
-        return os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        return os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
 
     def _reclaim_stale(self) -> bool:
         """Remove our lockfile if the pid in it is dead; True if it is gone."""

@@ -15,8 +15,8 @@ sorted so that membership of a whole batch of id rows is one `np.searchsorted`.
 The negative generators (`candidates.generate_candidates`,
 `scorer.corruption_examples` and the `uniform`, `slots` and `sans` samplers)
 work on it. Its id rows have the format of a `TripleTable`, which the
-candidate tables and the scorer share, and whose `triples` is the one decoder
-of id rows back to triples.
+samplers, candidate tables and scorer share: `concat` joins two tables, and
+`triples` is the one decoder of id rows back to triples.
 """
 from __future__ import annotations
 
@@ -150,6 +150,21 @@ class TripleTable:
         rows = np.asarray(flat, dtype=np.int64).reshape(-1, 3)
         return cls(tuple(phrase_ids), tuple(relation_ids), rows)
 
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def concat(self, other: "TripleTable") -> "TripleTable":
+        """This table's rows, then `other`'s, over this table's phrases and
+        relations followed by those of `other` it lacks (in `other`'s order)."""
+        phrases = {p: i for i, p in enumerate(self.phrases)}
+        relations = {r: i for i, r in enumerate(self.relations)}
+        # Each map's trailing -1 keeps id -1 of `other` at -1.
+        p = np.asarray([phrases.setdefault(x, len(phrases)) for x in other.phrases] + [-1])
+        r = np.asarray([relations.setdefault(x, len(relations)) for x in other.relations] + [-1])
+        heads, relation_ids, tails = other.rows.T
+        rows = np.stack([p[heads], r[relation_ids], p[tails]], axis=1)
+        return TripleTable(tuple(phrases), tuple(relations), np.concatenate([self.rows, rows]))
+
     def triples(self, indices: Iterable[int] | np.ndarray | None = None) -> list[LabeledTriple]:
         """The label-0 triples of rows `indices` (every row by default), in
         that order; an id of -1 is an error."""
@@ -260,20 +275,9 @@ class IdView:
             )
         )
 
-    def encode(self, triples) -> np.ndarray:
-        """(n, 3) int64 id rows of `triples`; -1 where the KB lacks the item."""
-        phrase = self.phrase_positions.get
-        relation = self.relation_positions.get
-        flat = [
-            i
-            for t in triples
-            for i in (phrase(t.head, -1), relation(t.relation, -1), phrase(t.tail, -1))
-        ]
-        return np.asarray(flat, dtype=np.int64).reshape(-1, 3)
-
-    def decode(self, rows: np.ndarray) -> list[LabeledTriple]:
-        """Label-0 triples of (n, 3) id rows; -1 is an error."""
-        return TripleTable(self.phrases, self.relations, rows).triples()
+    def table(self, rows: np.ndarray) -> TripleTable:
+        """The `TripleTable` of (n, 3) id rows over this view's numbering."""
+        return TripleTable(self.phrases, self.relations, rows)
 
     def pack(self, heads, relations, tails) -> np.ndarray:
         return (heads * len(self.relations) + relations) * self.n_phrases + tails

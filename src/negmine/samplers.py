@@ -1,15 +1,15 @@
 """Baseline negative samplers: uniform, slot-constrained, antonym, and k-hop.
 
-The uniform, slot and k-hop samplers draw every corruption of a list of
-positives in one batch, through training's draw (`scorer._draw_corruptions`)
-on the KB's integer view. Each entry coin-flips head or tail once, then draws
-a replacement from its pool, in phrase-id order, never the original; in-KB
-draws are redrawn in the same slot for up to CORRUPT_RETRIES rounds, then
-skipped. The pools: every KB phrase (uniform); the phrases the relation has
-seen in that slot, or in the other slot when that one is empty (slots); the
-phrases within `hops` head-tail edges, where an empty neighbourhood skips
-(sans, `EntityGraph`). The antonym sampler makes phrases the KB does not
-store, so it edits one positive at a time.
+The uniform, slot and k-hop samplers take positives as id rows of `kb.ids`
+and return their corruptions as a `TripleTable` over it, drawn in one batch
+by training's draw (`scorer._draw_corruptions`). Each entry coin-flips head
+or tail once, then draws a replacement from its pool, in phrase-id order,
+never the original; in-KB draws are redrawn in the same slot for up to
+CORRUPT_RETRIES rounds, then skipped. The pools: every KB phrase (uniform);
+the phrases the relation has seen in that slot, or in the other slot when
+that one is empty (slots); the phrases within `hops` head-tail edges, where
+an empty neighbourhood skips (sans, `EntityGraph`). The antonym sampler
+makes phrases the KB does not store, so it edits one positive at a time.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .ioutil import atomic_write_text, read_lines
-from .kb import SLOTS, IdView, KnowledgeBase, LabeledTriple, Phrase
+from .kb import SLOTS, KnowledgeBase, LabeledTriple, Phrase, TripleTable
 from .scorer import CORRUPT_RETRIES, Pools, _draw_corruptions
 
 logger = logging.getLogger(__name__)
@@ -155,21 +155,21 @@ def _split_pairs(pairs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _flipped_rows(
-    ids: IdView, positives: list[LabeledTriple], per_positive: int, rng: np.random.Generator
+    positives: np.ndarray, per_positive: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Id rows of each positive, `per_positive` times, and one coin flip each:
+    """A copy of the id rows, each `per_positive` times, and one coin flip each:
     the column to replace, 0 (head) or 2 (tail)."""
-    rows = np.repeat(ids.encode(positives), per_positive, axis=0)
+    rows = np.repeat(positives, per_positive, axis=0)
     return rows, 2 * rng.integers(2, size=len(rows))
 
 
 def sample_uniform(
     kb: KnowledgeBase,
-    positives: list[LabeledTriple],
+    positives: np.ndarray,
     per_positive: int,
     rng: np.random.Generator,
-) -> list[LabeledTriple]:
-    """`per_positive` corruptions of each positive, in order, minus skips.
+) -> TripleTable:
+    """`per_positive` corruptions of each positive id row, in order, minus skips.
 
     The pool is every KB phrase; the draw is training's corruption draw. A
     KB with fewer than 2 phrases yields none.
@@ -177,23 +177,23 @@ def sample_uniform(
     ids = kb.ids
     if ids.n_phrases < 2:
         logger.debug("uniform sampler skipped %d positives: no other phrase", len(positives))
-        return []
-    rows, column = _flipped_rows(ids, positives, per_positive, rng)
-    return ids.decode(_draw_corruptions(ids, rows, column, rng))
+        return ids.table(positives[:0])
+    rows, column = _flipped_rows(positives, per_positive, rng)
+    return ids.table(_draw_corruptions(ids, rows, column, rng))
 
 
 def sample_slots(
     kb: KnowledgeBase,
-    positives: list[LabeledTriple],
+    positives: np.ndarray,
     per_positive: int,
     rng: np.random.Generator,
-) -> list[LabeledTriple]:
+) -> TripleTable:
     """Like `sample_uniform`, but each slot's pool is the phrases the
     positive's relation has seen in it. The flipped slot falls back to the
     other when its pool holds nothing but the original; an entry with two
     such pools is skipped."""
     ids = kb.ids
-    rows, column = _flipped_rows(ids, positives, per_positive, rng)
+    rows, column = _flipped_rows(positives, per_positive, rng)
     head = ids.slot_ranges(rows[:, 1], 0, rows[:, 0])
     tail = ids.slot_ranges(rows[:, 1], 1, rows[:, 2])
     start, size, skip = (np.stack(pair) for pair in zip(head, tail))  # (2, n): slot, entry
@@ -211,7 +211,7 @@ def sample_slots(
         size[slot, entry],
         skip[slot, entry],
     )
-    return ids.decode(_draw_corruptions(ids, rows[entry], 2 * slot, rng, pools))
+    return ids.table(_draw_corruptions(ids, rows[entry], 2 * slot, rng, pools))
 
 
 def sample_antonyms(
@@ -245,15 +245,15 @@ def sample_antonyms(
 def sample_sans(
     graph: EntityGraph,
     kb: KnowledgeBase,
-    positives: list[LabeledTriple],
+    positives: np.ndarray,
     per_positive: int,
     rng: np.random.Generator,
-) -> list[LabeledTriple]:
+) -> TripleTable:
     """Like `sample_uniform`, but the pool is the flipped phrase's
     neighbourhood in `graph`. An empty neighbourhood, or a phrase the KB
     does not store, skips the entry."""
     ids = kb.ids
-    rows, column = _flipped_rows(ids, positives, per_positive, rng)
+    rows, column = _flipped_rows(positives, per_positive, rng)
     phrase = rows[np.arange(len(rows)), column]
     size = np.append(np.diff(graph.offsets), 0)[phrase]  # id -1 reads the appended 0
     keep = size > 0
@@ -261,4 +261,4 @@ def sample_sans(
         logger.debug("k-hop sampler skipped %d entries: empty neighbourhood", (~keep).sum())
     phrase = phrase[keep]
     pools = Pools(graph.members, graph.offsets[phrase], size[keep], np.full(len(phrase), -1))
-    return ids.decode(_draw_corruptions(ids, rows[keep], column[keep], rng, pools))
+    return ids.table(_draw_corruptions(ids, rows[keep], column[keep], rng, pools))

@@ -12,11 +12,11 @@ ranking.
 batch gradients and for `gradient_norms`, which gives each row's gradient
 norm at label 1 in closed form from forward quantities; the tests hold the
 single-triple forward pass that the batch one is checked against. The
-batch paths take a `kb.TripleTable` of id rows, as the KB's `ids` and the
-candidate tables hold them: `encode_rows`, `score_rows` and
-`gradient_norms` take a table, and `encode_batch` and `score_batch` build
-one from triples. Each call, or training run, encodes the table's phrases
-and relations to token ids once. Training pools a batch through its
+batch paths take a `kb.TripleTable` of id rows, as the KB's `ids`, the
+samplers and the candidate tables hold them: `encode_rows`, `score_rows`,
+`gradient_norms` and `train_supervised` take a table, and `score_batch`
+builds one from triples. Each call, or training run, encodes the table's
+phrases and relations to token ids once. Training pools a batch through its
 normalized token-count matrix `A` (batch x the batch's distinct tokens), so
 the forward pass is `A @ emb[ids]`, the embedding gradient is `A.T @ dm`,
 and the optimizer steps only those rows. Each epoch's rows are shuffled
@@ -227,11 +227,6 @@ def encode_rows(params: ScorerParams, table: TripleTable) -> np.ndarray:
 def score_rows(params: ScorerParams, table: TripleTable) -> np.ndarray:
     """Classification scores of the table's rows, forward only."""
     return sigmoid(encode_rows(params, table) @ params.w + params.b)
-
-
-def encode_batch(params: ScorerParams, triples: list[LabeledTriple]) -> np.ndarray:
-    """`encode_rows` of many triples, one row each."""
-    return encode_rows(params, TripleTable.from_triples(triples))
 
 
 def score_batch(params: ScorerParams, triples: list[LabeledTriple]) -> np.ndarray:
@@ -659,16 +654,16 @@ def train_contrastive(
 
 
 def train_supervised(
-    params: ScorerParams, examples: list[LabeledTriple], config: TrainConfig
+    params: ScorerParams, examples: TripleTable, config: TrainConfig, labels: np.ndarray
 ) -> tuple[ScorerParams, list[float]]:
-    """Fit the scorer on a fixed labeled example set (labels from the triples)."""
-    if not examples:
+    """Fit the scorer on a fixed example table; `labels[i]` (0 or 1) labels row i."""
+    if not len(examples):
         raise ValueError("example set is empty")
+    if len(labels) != len(examples):
+        raise ValueError(f"got {len(labels)} labels for {len(examples)} examples")
     rng = np.random.default_rng([config.seed, 3])
-    table = TripleTable.from_triples(examples)
-    labels = np.asarray([float(t.label) for t in examples])
-    view = _token_view(params.vocab, table)
-    return params, _train(params, view, config, rng, lambda: (table.rows, labels))
+    view = _token_view(params.vocab, examples)
+    return params, _train(params, view, config, rng, lambda: (examples.rows, labels))
 
 
 @dataclass

@@ -1,6 +1,6 @@
-"""Shared test helpers: triple builders, candidate and ranked tables from rows, corruption
-and recorded draws, checkpoint surgery, the single-triple forward pass, the brute-force kNN
-and the gradient oracle."""
+"""Shared test helpers: triple builders, id rows over a KB's view, candidate and ranked
+tables from rows, corruption and recorded draws, checkpoint surgery, the single-triple
+forward pass, the brute-force kNN and the gradient oracle."""
 import json
 import math
 
@@ -14,6 +14,18 @@ from negmine.scorer import _draw_corruptions, _mode_columns, sigmoid
 
 def make_triple(rel, head, tail, label=1):
     return LabeledTriple(Phrase.parse(head), rel, Phrase.parse(tail), label)
+
+
+def id_rows(ids, triples):
+    """(n, 3) int64 id rows of `triples` over a KB's `IdView`; -1 where the KB lacks the item."""
+    phrase = ids.phrase_positions.get
+    relation = ids.relation_positions.get
+    flat = [
+        i
+        for t in triples
+        for i in (phrase(t.head, -1), relation(t.relation, -1), phrase(t.tail, -1))
+    ]
+    return np.asarray(flat, dtype=np.int64).reshape(-1, 3)
 
 
 def candidate_table(candidates):
@@ -77,8 +89,8 @@ def knn_brute_force(index, query, k):
 def corrupt(kb, positive, mode, rng):
     """`positive` corrupted in `mode`'s slot by training's draw; None if skipped."""
     ids = kb.ids
-    rows = _draw_corruptions(ids, ids.encode([positive]), _mode_columns([mode]), rng)
-    return ids.decode(rows)[0] if len(rows) else None
+    rows = _draw_corruptions(ids, id_rows(ids, [positive]), _mode_columns([mode]), rng)
+    return ids.table(rows).triples()[0] if len(rows) else None
 
 
 class RecordingRng:

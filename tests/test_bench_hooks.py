@@ -1,11 +1,14 @@
 """What the benchmark relies on: every package name its tracer wraps or its
 runner imports exists, uninstalling the tracer puts the original objects
-back, and the runner's output checks work on a small world."""
+back, a traced stage runs and counts what an untraced one does, and the
+runner's output checks work on a small world."""
 import ast
 import importlib
 import math
 import sys
 from pathlib import Path
+
+import pytest
 
 import negmine.cli  # noqa: F401  (the tracer finds the package's modules in sys.modules)
 from negmine.candidates import (
@@ -15,7 +18,7 @@ from negmine.candidates import (
     write_candidates_tsv,
 )
 from negmine.kb import KnowledgeBase, build_true_negative_split, load_tsv, save_tsv
-from negmine.rankers import rank_none, read_ranked_tsv, write_ranked_tsv
+from negmine.rankers import rank_grad, rank_none, read_ranked_tsv, write_ranked_tsv
 from negmine.retrieval import build_index
 from negmine.scorer import TokenVocab, embed_phrase, init_params
 from negmine.synthetic import SyntheticSpec, generate_kb
@@ -47,6 +50,49 @@ def test_tracer_installs_and_restores_every_hook(monkeypatch):
     for ns, names in before.values():
         for attr, original in names.items():
             assert vars(ns).get(attr) is original, f"{ns.__name__}.{attr} not restored"
+
+
+@pytest.mark.parametrize("sampler", ["uniform", "negater-grad"])
+def test_traced_evaluate_counts_what_an_untraced_run_draws(tmp_path, monkeypatch, sampler):
+    """`evaluate` under the tracer: the wrapped calls still fit their
+    signatures, spans nest, and the draw and training counts are those of
+    the untraced run (one trial, so `sample` writes its draws)."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import spans
+
+    spec = SyntheticSpec(clusters=4, cluster_size=10, relations=8, negative_fraction=0.3, seed=1)
+    save_tsv(list(generate_kb(spec).triples), tmp_path / "kb.tsv")
+    out = tmp_path / "out"
+    epochs = 2
+    argv = ["--kb", str(tmp_path / "kb.tsv"), "--output-dir", str(out), "--split",
+            "true-negatives", "--hidden-dim", "8", "--epochs", str(epochs), "--trials", "1",
+            "--seed", "3", "--sampler", sampler]
+    cli = negmine.cli
+    kb = cli._load_kb(cli.resolve_config(cli.build_parser().parse_args(["evaluate", *argv])))
+    if sampler == "uniform":
+        assert cli.main(["sample", *argv]) == 0
+        draws = len((out / "negatives.tsv").read_text(encoding="utf-8").splitlines())
+    else:
+        out.mkdir()
+        params = init_params(TokenVocab.from_kb(kb), hidden_dim=8, seed=0)
+        index = build_index(list(kb.phrases), lambda p: embed_phrase(params, p))
+        write_ranked_tsv(rank_grad(params, generate_candidates(kb, index, 6)), out / "ranked.tsv")
+        draws = len(kb.splits.train)
+    assert 0 < draws
+
+    tracer = spans.Tracer("t")
+    tracer.install()
+    try:
+        code = cli.main(["evaluate", *argv])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert spans.nesting_violations(tracer.spans) == 0
+    metrics = spans.layer_metrics(tracer)
+    assert metrics[f"samplers.draws.{sampler}"][0] == draws
+    assert metrics[f"samplers.skips.{sampler}"][0] == len(kb.splits.train) - draws
+    assert metrics["scorer.supervised_examples"][0] == (len(kb.splits.train) + draws) * epochs
+    assert metrics["evaluation.trials"][0] == 1
 
 
 def test_runner_imports_resolve():

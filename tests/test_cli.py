@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import negmine
 from negmine.checkpoint import load_checkpoint, save_checkpoint
 from negmine.cli import main
+from negmine.ioutil import DirectoryLock
 from negmine.kb import save_tsv
 from negmine.scorer import TokenVocab, init_params
 from negmine.rankers import RANK_METHODS, read_ranked_tsv
@@ -262,6 +263,15 @@ class TestFileModes:
         for name in ("train-loss.tsv", "scorer.ckpt"):
             assert (out / name).stat().st_mode & 0o777 == 0o644, name
         assert sorted(p.name for p in out.iterdir()) == ["scorer.ckpt", "train-loss.tsv"]
+
+    def test_held_lockfile_follows_the_umask(self, tmp_path):
+        old = os.umask(0o022)
+        try:
+            with DirectoryLock(tmp_path):
+                mode = (tmp_path / ".lock").stat().st_mode & 0o777
+        finally:
+            os.umask(old)
+        assert mode == 0o644
 
 
 class TestDryRun:

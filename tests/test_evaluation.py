@@ -1,9 +1,10 @@
 """Metric arithmetic, Welch tests vs a quadrature oracle, and trial protocol."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import make_triple as t, ranked_table, t_tail_two_sided
+from conftest import flatten_params, make_triple as t, ranked_table, t_tail_two_sided
 
 from negmine.evaluation import (
     EvaluationReport,
@@ -20,9 +21,9 @@ from negmine.evaluation import (
     write_report_tsv,
     write_trials_tsv,
 )
-from negmine.kb import KnowledgeBase, ParseError, build_true_negative_split
+from negmine.kb import KnowledgeBase, ParseError, TripleTable, build_true_negative_split
 from negmine.rankers import RankedRow
-from negmine.scorer import TrainConfig
+from negmine.scorer import TokenVocab, TrainConfig, init_params, train_supervised
 
 
 class TestMetrics:
@@ -317,11 +318,11 @@ class TestRunExperiment:
         kb = eval_kb()
         config = fast_config("uniform")
         draws = {
-            seed: _draw_negatives(kb, config, None, derive_seed(seed, 1))
+            seed: _draw_negatives(kb, config, None, derive_seed(seed, 1)).triples()
             for seed in (1, 99)
         }
         assert draws[1] != draws[99]
-        assert _draw_negatives(kb, config, None, derive_seed(1, 1)) == draws[1]
+        assert _draw_negatives(kb, config, None, derive_seed(1, 1)).triples() == draws[1]
 
     @pytest.mark.parametrize("sampler", ["slots", "antonyms", "sans"])
     def test_samplers_draw_from_one_trial_stream(self, sampler):
@@ -340,15 +341,50 @@ class TestRunExperiment:
         lexicon = AntonymLexicon({f"a{i}": ("noun", ["x0", "x1", "x2"]) for i in range(4)})
         graph = EntityGraph.from_kb(kb, 2)
         rng = np.random.default_rng([7, 50])
-        train = kb.splits.train
         if sampler == "slots":
-            expected = sample_slots(kb, train, 1, rng)
+            expected = sample_slots(kb, kb.ids.rows, 1, rng).triples()
         elif sampler == "sans":
-            expected = sample_sans(graph, kb, train, 1, rng)
+            expected = sample_sans(graph, kb, kb.ids.rows, 1, rng).triples()
         else:
-            expected = [sample_antonyms(lexicon, kb, p, rng) for p in train]
+            expected = [sample_antonyms(lexicon, kb, p, rng) for p in kb.splits.train]
         config = fast_config(sampler, lexicon=lexicon, hops=2)
-        assert _draw_negatives(kb, config, graph, 7) == [n for n in expected if n is not None]
+        negatives = _draw_negatives(kb, config, graph, 7).triples()
+        assert negatives == [n for n in expected if n is not None]
+
+    @pytest.mark.parametrize(
+        "sampler", ["uniform", "slots", "sans", "antonyms", "negater-grad", "negater-none"]
+    )
+    def test_id_table_trains_as_the_decoded_triples(self, sampler):
+        # Training reads each row's token ids, never its phrase numbering: the
+        # joined id table trains the same bits as the triples re-encoded.
+        from negmine.evaluation import _draw_negatives
+        from negmine.samplers import AntonymLexicon, EntityGraph
+
+        kb = eval_kb()
+        lexicon = AntonymLexicon({f"a{i}": ("noun", ["x0", "x1", "x2"]) for i in range(4)})
+        ranked = None
+        if sampler.startswith("negater"):
+            # Every third row has a relation, and every row a head, the KB lacks.
+            ranked = ranked_table(
+                RankedRow(i + 1, t("hates" if i % 3 == 0 else "likes", f"c{i}", f"b{i % 4}", 0),
+                          0.0, sampler.removeprefix("negater-"))
+                for i in range(len(kb.splits.train) + 2)
+            )
+        config = fast_config(sampler, lexicon=lexicon, ranked=ranked)
+        negatives = _draw_negatives(kb, config, EntityGraph.from_kb(kb, config.hops), 7)
+        positives = kb.ids.table(kb.ids.rows)
+        labels = np.concatenate([np.ones(len(positives)), np.zeros(len(negatives))])
+
+        def trained(table):
+            params = init_params(TokenVocab.from_kb(kb), hidden_dim=8, seed=7)
+            train_supervised(params, table, replace(config.train, seed=7), labels)
+            return flatten_params(params)
+
+        joined = positives.concat(negatives)
+        reference = TripleTable.from_triples(list(kb.triples) + negatives.triples())
+        if sampler.startswith("negater"):
+            assert (joined.phrases, joined.relations) != (reference.phrases, reference.relations)
+        np.testing.assert_array_equal(trained(joined), trained(reference))
 
     def test_sans_and_slots_run(self):
         kb = eval_kb()

@@ -2,7 +2,11 @@
 import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from conftest import id_rows
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from negmine.candidates import CandidateTable
 from negmine.kb import (
@@ -12,6 +16,7 @@ from negmine.kb import (
     LabeledTriple,
     ParseError,
     Phrase,
+    TripleTable,
     build_true_negative_split,
     load_tsv,
     save_tsv,
@@ -87,7 +92,7 @@ class TestKnowledgeBase:
         triples = [t("r", "a", "b"), t("s", "c", "d")]
         kb = KnowledgeBase(x for x in triples)
         assert kb.triples == tuple(triples)
-        assert kb.ids.decode(kb.ids.rows) == [replace(x, label=0) for x in triples]
+        assert kb.ids.table(kb.ids.rows).triples() == [replace(x, label=0) for x in triples]
         with pytest.raises(ValueError, match="positives only"):
             KnowledgeBase(x for x in [t("r", "a", "b", label=0)])
 
@@ -102,7 +107,7 @@ class TestKnowledgeBase:
         kb = KnowledgeBase(triples)
         assert kb.ids.relations == ("q", "r", "s")
         assert kb.ids.rows[:, 1].tolist() == [2, 0, 1, 2]
-        assert kb.ids.decode(kb.ids.rows) == [replace(x, label=0) for x in kb.triples]
+        assert kb.ids.table(kb.ids.rows).triples() == [replace(x, label=0) for x in kb.triples]
         assert kb.ids.phrases == kb.phrases == tuple(map(Phrase.parse, "abc"))
         assert kb.phrase_positions == {p: i for i, p in enumerate(kb.phrases)}
         assert kb.ids.contains(*kb.ids.rows.T).all()
@@ -134,16 +139,67 @@ class TestKnowledgeBase:
     def test_id_rows_decode_to_triples(self):
         kb = KnowledgeBase([t("s", "a", "b"), t("r", "b c", "a")])
         probe = [t("r", "a", "a", label=0), t("s", "b c", "b", label=0)]
-        assert kb.ids.decode(kb.ids.encode(probe)) == probe
-        assert kb.ids.decode(kb.ids.encode(kb.triples)) == [replace(x, label=0) for x in kb.triples]
+        assert kb.ids.table(id_rows(kb.ids, probe)).triples() == probe
+        rows = id_rows(kb.ids, kb.triples)
+        assert kb.ids.table(rows).triples() == [replace(x, label=0) for x in kb.triples]
+        unknown = id_rows(kb.ids, [t("r", "a", "zzz")])
         with pytest.raises(ValueError, match="does not store"):
-            kb.ids.decode(kb.ids.encode([t("r", "a", "zzz")]))
+            kb.ids.table(unknown).triples()
         # A candidate table shares the decoder, -1 check included.
-        table = CandidateTable(
-            kb.ids.phrases, kb.ids.relations, kb.ids.encode([t("r", "a", "zzz")])
-        )
+        table = CandidateTable(kb.ids.phrases, kb.ids.relations, unknown)
         with pytest.raises(ValueError, match="does not store"):
             table.triples()
+
+
+WORDS = tuple(Phrase.parse(f"w{i}") for i in range(8))
+RELATIONS = ("q", "r", "s", "t")
+
+
+def pools(draw, universe, max_first):
+    """Two id pools of `universe`: the second overlaps, nests in, or is disjoint from the first."""
+    first = draw(st.lists(st.sampled_from(universe), min_size=1, max_size=max_first, unique=True))
+    how = draw(st.sampled_from(["overlap", "nest", "disjoint"]))
+    if how == "nest":
+        pool = first
+    elif how == "disjoint":
+        pool = [x for x in universe if x not in first]
+    else:
+        pool = universe
+    return tuple(first), tuple(draw(st.lists(st.sampled_from(pool), min_size=1, unique=True)))
+
+
+@st.composite
+def table_pairs(draw):
+    phrase_pools = pools(draw, WORDS, 4)
+    relation_pools = pools(draw, RELATIONS, 2)
+    tables = []
+    for phrases, relations in zip(phrase_pools, relation_pools):
+        ids = st.tuples(*(st.integers(0, len(x) - 1) for x in (phrases, relations, phrases)))
+        rows = np.asarray(draw(st.lists(ids, max_size=6)), dtype=np.int64).reshape(-1, 3)
+        tables.append(TripleTable(phrases, relations, rows))
+    return tables
+
+
+class TestTripleTableConcat:
+    @settings(max_examples=200, deadline=None)
+    @given(table_pairs())
+    def test_decodes_to_both_tables_in_order(self, pair):
+        a, b = pair
+        joined = a.concat(b)
+        assert joined.triples() == a.triples() + b.triples()
+        assert len(joined) == len(a) + len(b)
+        assert len(set(joined.phrases)) == len(joined.phrases)
+        assert len(set(joined.relations)) == len(joined.relations)
+        # The first table's numbering is kept; the second's new items follow it.
+        assert joined.phrases == a.phrases + tuple(p for p in b.phrases if p not in a.phrases)
+        assert joined.relations[: len(a.relations)] == a.relations
+        np.testing.assert_array_equal(joined.rows[: len(a)], a.rows)
+
+    def test_unstored_id_stays_unstored(self):
+        a = TripleTable((Phrase.parse("a"),), ("r",), np.asarray([[0, 0, 0]]))
+        b = TripleTable((Phrase.parse("b"),), ("s",), np.asarray([[0, -1, -1], [-1, 0, 0]]))
+        joined = a.concat(b)
+        assert joined.rows.tolist() == [[0, 0, 0], [1, -1, -1], [-1, 1, 1]]
 
 
 class TestLoadTsv:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from conftest import RecordingRng, corrupt
+from conftest import RecordingRng, corrupt, id_rows
 
 from negmine.candidates import Candidate, generate_candidates
 from negmine.kb import HEAD, SLOTS, TAIL, KnowledgeBase, LabeledTriple, Phrase
@@ -250,11 +250,11 @@ class TestCorruptionDraws:
         pool = {"head": len(kb.phrases), "relation": len(kb.relations), "tail": len(kb.phrases)}
         if any(pool[m] < 2 for m in modes):
             with pytest.raises(ValueError, match="too small"):
-                corruption_examples(kb, kb.ids.encode(kb.triples), config, np.random.default_rng(seed))
+                corruption_examples(kb, kb.ids.rows, config, np.random.default_rng(seed))
             return
         rng = RecordingRng(seed)
-        rows = corruption_examples(kb, kb.ids.encode(kb.triples), config, rng)
-        negatives = kb.ids.decode(rows)
+        rows = corruption_examples(kb, kb.ids.rows, config, rng)
+        negatives = kb.ids.table(rows).triples()
         entries = [(p, m, uniform_pool(kb, m)) for p in kb.triples for m in modes]
         expected, collisions = replay(kb, entries, rng.calls)
         assert negatives == expected
@@ -281,7 +281,7 @@ class TestUniformDraws:
     @given(small_kbs(max_phrases=4, max_relations=2), st.integers(1, 3), st.integers(0, 2**32 - 1))
     def test_negatives_follow_the_draw_contract(self, kb, per_positive, seed):
         rng = RecordingRng(seed)
-        negatives = sample_uniform(kb, list(kb.triples), per_positive, rng)
+        negatives = sample_uniform(kb, kb.ids.rows, per_positive, rng).triples()
         if len(kb.phrases) < 2:
             assert negatives == [] and rng.calls == []
             return
@@ -308,7 +308,7 @@ class TestSlotDraws:
     def test_negatives_follow_the_draw_contract(self, case, per_positive, seed):
         kb, positives = case
         rng = RecordingRng(seed)
-        negatives = sample_slots(kb, positives, per_positive, rng)
+        negatives = sample_slots(kb, id_rows(kb.ids, positives), per_positive, rng).triples()
         (flip_high, flips), *draws = rng.calls
         assert flip_high == 2 and len(flips) == per_positive * len(positives)
         # The flipped slot, or the other one when the flipped pool holds
@@ -342,7 +342,8 @@ class TestKHopDraws:
     def test_negatives_follow_the_draw_contract(self, case, hops, per_positive, seed):
         kb, positives = case
         rng = RecordingRng(seed)
-        negatives = sample_sans(EntityGraph.from_kb(kb, hops), kb, positives, per_positive, rng)
+        graph = EntityGraph.from_kb(kb, hops)
+        negatives = sample_sans(graph, kb, id_rows(kb.ids, positives), per_positive, rng).triples()
         (flip_high, flips), *draws = rng.calls
         assert flip_high == 2 and len(flips) == per_positive * len(positives)
         entries = [

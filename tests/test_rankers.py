@@ -36,7 +36,6 @@ from negmine.rankers import (
 from negmine.scorer import (
     ThresholdMap,
     TokenVocab,
-    encode_batch,
     encode_rows,
     gradient_norms,
     init_params,
@@ -44,6 +43,11 @@ from negmine.scorer import (
 )
 
 from_triples = CandidateTable.from_triples
+
+
+def encode_batch(params, triples):
+    """The triple path's pooled vectors: `encode_rows` of the triples, re-encoded."""
+    return encode_rows(params, TripleTable.from_triples(triples))
 
 
 def controlled_setup(score_logits, relation="R"):
@@ -381,7 +385,7 @@ class TestRowPath:
     def test_kb_id_rows_are_encode_batch(self, relations):
         params, _, triples = self.world(relations)
         kb = KnowledgeBase([replace(x, label=1) for x in triples])
-        table = TripleTable(kb.ids.phrases, kb.ids.relations, kb.ids.rows)
+        table = kb.ids.table(kb.ids.rows)
         assert table.relations == ("R", "S", "T")
         pooled = encode_rows(params, table)
         np.testing.assert_array_equal(pooled, encode_batch(params, list(kb.triples)))

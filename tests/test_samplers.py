@@ -1,7 +1,7 @@
 """Baseline negative samplers: lexicon, phrase graph, and draw contracts."""
 import numpy as np
 import pytest
-from conftest import RecordingRng
+from conftest import RecordingRng, id_rows
 from conftest import make_triple as t
 
 from negmine.kb import HEAD, TAIL, KnowledgeBase, ParseError, Phrase
@@ -149,8 +149,8 @@ class TestEntityGraph:
         # Phrases the KB does not store have no neighbourhood: every entry skips.
         kb = chain_kb()
         graph = EntityGraph.from_kb(kb, 2)
-        probe = t("R", "zzz", "yyy")
-        assert sample_sans(graph, kb, [probe], 20, np.random.default_rng(0)) == []
+        probe = id_rows(kb.ids, [t("R", "zzz", "yyy")])
+        assert sample_sans(graph, kb, probe, 20, np.random.default_rng(0)).triples() == []
 
     def test_hops_validated(self):
         with pytest.raises(ValueError, match="hops"):
@@ -160,7 +160,7 @@ class TestEntityGraph:
 class TestSampleUniform:
     def test_differs_in_exactly_one_slot(self):
         kb = KnowledgeBase([t("R", f"h{i}", f"t{i}") for i in range(5)])
-        outs = sample_uniform(kb, [kb.triples[0]], 200, np.random.default_rng(0))
+        outs = sample_uniform(kb, kb.ids.rows[:1], 200, np.random.default_rng(0)).triples()
         assert len(outs) == 200
         for out in outs:
             assert out.label == 0
@@ -172,7 +172,7 @@ class TestSampleUniform:
         kb = KnowledgeBase([t("R", "p", "p"), t("R", "q", "q")])
         positive = kb.triples[0]
         for seed in range(20):
-            [out] = sample_uniform(kb, [positive], 1, np.random.default_rng(seed))
+            [out] = sample_uniform(kb, kb.ids.rows[:1], 1, np.random.default_rng(seed)).triples()
             assert out in (t("R", "q", "p", 0), t("R", "p", "q", 0))
             if out.head != positive.head:
                 assert out == t("R", "q", "p", 0)
@@ -183,7 +183,7 @@ class TestSampleUniform:
         positive = kb.triples[0]
         counts: dict = {phrase: 0 for phrase in kb.phrases}
         n = 10_000
-        for out in sample_uniform(kb, [positive], n, np.random.default_rng(7)):
+        for out in sample_uniform(kb, kb.ids.rows[:1], n, np.random.default_rng(7)).triples():
             slot = HEAD if out.head != positive.head else TAIL
             counts[out.phrase(slot)] += 1
         # p0/p1 can fill only the opposite slot: probability 1/2 x 1/9 each;
@@ -197,17 +197,17 @@ class TestSampleUniform:
         # All cross pairs present: any single-slot replacement is a positive.
         names = ["a", "b", "c"]
         kb = KnowledgeBase([t("R", x, y) for x in names for y in names])
-        assert sample_uniform(kb, [kb.triples[0]], 1, np.random.default_rng(0)) == []
+        assert sample_uniform(kb, kb.ids.rows[:1], 1, np.random.default_rng(0)).triples() == []
 
     def test_skips_single_phrase_vocabulary(self):
         kb = KnowledgeBase([t("R", "p", "p")])
-        assert sample_uniform(kb, list(kb.triples), 3, np.random.default_rng(0)) == []
+        assert sample_uniform(kb, kb.ids.rows, 3, np.random.default_rng(0)).triples() == []
 
     def test_seeded_sequence_reproducible(self):
         kb = KnowledgeBase([t("R", f"h{i}", f"t{i}") for i in range(4)])
-        seq = lambda seed: sample_uniform(kb, list(kb.triples), 1, np.random.default_rng(seed))
-        assert seq(3) == seq(3)
-        assert seq(3) != seq(4)
+        seq = lambda seed: sample_uniform(kb, kb.ids.rows, 1, np.random.default_rng(seed)).rows
+        np.testing.assert_array_equal(seq(3), seq(3))
+        assert not np.array_equal(seq(3), seq(4))
 
 
 def changed_slot(out, positive):
@@ -223,7 +223,7 @@ class TestSampleSlots:
         positive = kb.triples[0]
         outs = set()
         for s in range(30):
-            [out] = sample_slots(kb, [positive], 1, np.random.default_rng(s))
+            [out] = sample_slots(kb, kb.ids.rows[:1], 1, np.random.default_rng(s)).triples()
             outs.add(out)
         assert outs == {t("R", "c", "x", 0), t("R", "a", "y", 0)}
 
@@ -233,7 +233,7 @@ class TestSampleSlots:
             [t("R", f"h{i}", f"t{j}") for i in range(4) for j in range(4) if (i + j) % 2]
         )
         for positive in kb.triples:
-            for out in sample_slots(kb, [positive], 20, rng):
+            for out in sample_slots(kb, id_rows(kb.ids, [positive]), 20, rng).triples():
                 assert out.label == 0 and not kb.contains(out)
                 slot = changed_slot(out, positive)
                 assert out.phrase(slot) in kb.slot_phrases(positive.relation, slot)
@@ -244,7 +244,7 @@ class TestSampleSlots:
         # is skipped.
         kb = KnowledgeBase([t("R", "a", "x"), t("R", "a", "y")])
         rng = RecordingRng(0)
-        assert sample_slots(kb, [kb.triples[0]], 8, rng) == []
+        assert sample_slots(kb, kb.ids.rows[:1], 8, rng).triples() == []
         (flip_high, flips), *draws = rng.calls
         assert flip_high == 2 and set(flips.tolist()) == {0, 1}
         assert len(draws) == CORRUPT_RETRIES
@@ -254,33 +254,36 @@ class TestSampleSlots:
     def test_both_pools_empty_skips(self):
         kb = KnowledgeBase([t("R", "a", "x")])
         rng = RecordingRng(0)
-        assert sample_slots(kb, [kb.triples[0]], 3, rng) == []
+        assert sample_slots(kb, kb.ids.rows[:1], 3, rng).triples() == []
         assert len(rng.calls) == 1  # the coin flips; no entry draws
 
     def test_unknown_relation_skips(self):
         # A relation the KB does not store has seen no phrase in either slot.
         kb = KnowledgeBase([t("R", "a", "x"), t("R", "b", "y")])
-        assert sample_slots(kb, [t("S", "a", "x")], 5, np.random.default_rng(0)) == []
+        probe = id_rows(kb.ids, [t("S", "a", "x")])
+        assert sample_slots(kb, probe, 5, np.random.default_rng(0)).triples() == []
 
     def test_out_of_kb_probe(self):
         kb = KnowledgeBase([t("R", "a", "x"), t("R", "b", "y"), t("R", "c", "z")])
         probe = t("R", "a", "y")
         for seed in range(10):
-            for out in sample_slots(kb, [probe], 3, np.random.default_rng(seed)):
+            draws = sample_slots(kb, id_rows(kb.ids, [probe]), 3, np.random.default_rng(seed))
+            for out in draws.triples():
                 assert not kb.contains(out)
                 slot = changed_slot(out, probe)
                 assert out.phrase(slot) in kb.slot_phrases("R", slot)
         # A phrase the KB does not store survives in the unflipped slot and
         # cannot be decoded, as in `sample_uniform`.
+        draws = sample_slots(kb, id_rows(kb.ids, [t("R", "q", "w")]), 4, np.random.default_rng(0))
         with pytest.raises(ValueError, match="does not store"):
-            sample_slots(kb, [t("R", "q", "w")], 4, np.random.default_rng(0))
+            draws.triples()
 
     def test_seeded_sequence_reproducible(self):
         kb = KnowledgeBase(
             [t("R", f"h{i}", f"t{j}") for i in range(3) for j in range(3) if i != j]
         )
-        seq = lambda seed: sample_slots(kb, list(kb.triples), 1, np.random.default_rng(seed))
-        assert seq(5) == seq(5)
+        seq = lambda seed: sample_slots(kb, kb.ids.rows, 1, np.random.default_rng(seed)).rows
+        np.testing.assert_array_equal(seq(5), seq(5))
 
 
 def antonym_of(lexicon, positive, rng):
@@ -370,7 +373,8 @@ class TestSampleSans:
         head_pool = {p("b"), p("c")}  # within 2 hops of a
         tail_pool = {p("a"), p("c"), p("d")}  # within 2 hops of b
         for seed in range(40):
-            [out] = sample_sans(graph, kb, [positive], 1, np.random.default_rng(seed))
+            draws = sample_sans(graph, kb, kb.ids.rows[:1], 1, np.random.default_rng(seed))
+            [out] = draws.triples()
             assert out.label == 0 and not kb.contains(out)
             if changed_slot(out, positive) == HEAD:
                 assert out.head in head_pool
@@ -380,12 +384,8 @@ class TestSampleSans:
     def test_chain_one_hop_outputs(self):
         kb = chain_kb()
         graph = EntityGraph.from_kb(kb, 1)
-        positive = kb.triples[0]
-        outs = {
-            out
-            for seed in range(40)
-            for out in sample_sans(graph, kb, [positive], 1, np.random.default_rng(seed))
-        }
+        draw = lambda seed: sample_sans(graph, kb, kb.ids.rows[:1], 1, np.random.default_rng(seed))
+        outs = {out for seed in range(40) for out in draw(seed).triples()}
         # nbhd(a, 1) = {b}; nbhd(b, 1) = {a, c}; (a,R,c) collides with nothing.
         assert outs == {t("R", "b", "b", 0), t("R", "a", "a", 0), t("R", "a", "c", 0)}
 
@@ -393,7 +393,7 @@ class TestSampleSans:
         kb = KnowledgeBase([t("R", "a", "a")])
         graph = EntityGraph.from_kb(kb, 2)
         rng = RecordingRng(0)
-        assert sample_sans(graph, kb, [kb.triples[0]], 3, rng) == []
+        assert sample_sans(graph, kb, kb.ids.rows[:1], 3, rng).triples() == []
         assert len(rng.calls) == 1  # the coin flips; no entry draws
 
     def test_hops_validated(self):
@@ -407,11 +407,11 @@ class TestSampleSans:
         )
         graph = EntityGraph.from_kb(kb, 1)
         rng = RecordingRng(0)
-        assert sample_sans(graph, kb, [kb.triples[0]], 4, rng) == []
+        assert sample_sans(graph, kb, kb.ids.rows[:1], 4, rng).triples() == []
         assert len(rng.calls) == 1 + CORRUPT_RETRIES
 
     def test_seeded_reproducible(self):
         kb = chain_kb()
         graph = EntityGraph.from_kb(kb, 2)
-        seq = lambda seed: sample_sans(graph, kb, list(kb.triples), 1, np.random.default_rng(seed))
-        assert seq(11) == seq(11)
+        seq = lambda seed: sample_sans(graph, kb, kb.ids.rows, 1, np.random.default_rng(seed)).rows
+        np.testing.assert_array_equal(seq(11), seq(11))

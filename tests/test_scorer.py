@@ -793,7 +793,7 @@ class TestTraining:
         from negmine.scorer import corruption_examples
 
         rng = np.random.default_rng(999)
-        negatives = kb.ids.decode(corruption_examples(kb, kb.ids.encode(kb.triples), config, rng))
+        negatives = kb.ids.table(corruption_examples(kb, kb.ids.rows, config, rng)).triples()
         examples = list(kb.triples) + negatives
         labels = np.array([x.label for x in examples])
         preds = (score_batch(params, examples) > 0.5).astype(int)
@@ -860,11 +860,19 @@ class TestTraining:
             if neg is not None:
                 negatives.append(neg)
         examples = list(kb.triples) + negatives
-        _, trace = train_supervised(params, examples, TrainConfig(epochs=150, seed=1))
         labels = np.array([x.label for x in examples])
+        table = TripleTable.from_triples(examples)
+        _, trace = train_supervised(params, table, TrainConfig(epochs=150, seed=1), labels)
         preds = (score_batch(params, examples) > 0.5).astype(int)
         assert (preds == labels).mean() >= 0.95
         assert trace[-1] < trace[0]
+
+    def test_supervised_needs_one_label_per_row(self):
+        kb = toy_kb()
+        params = init_params(TokenVocab.from_kb(kb), hidden_dim=8, seed=1)
+        table = kb.ids.table(kb.ids.rows)
+        with pytest.raises(ValueError, match="labels for"):
+            train_supervised(params, table, TrainConfig(epochs=1), np.ones(len(table) - 1))
 
 
 class TestThresholds:
@@ -958,7 +966,7 @@ class TestThresholds:
         from negmine.scorer import corruption_examples
 
         rng = np.random.default_rng(123)
-        negatives = kb.ids.decode(corruption_examples(kb, kb.ids.encode(kb.triples), config, rng))
+        negatives = kb.ids.table(corruption_examples(kb, kb.ids.rows, config, rng)).triples()
         validation = list(kb.triples) + negatives
         thresholds = fit_thresholds(params, validation)
         correct = [
