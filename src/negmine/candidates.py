@@ -116,10 +116,12 @@ def generate_candidates(kb: KnowledgeBase, index: PhraseIndex, k: int) -> Candid
     usually fewer.
 
     The work is done on the KB's integer view (`kb.ids`): `knn` runs once per
-    KB phrase, each block of positives expands to a (positive, slot,
-    neighbor rank) grid of packed triple keys, and the slot filter and the
-    KB membership test are binary searches over packed keys. The table's
-    columns are gathered from the surviving grid positions.
+    KB phrase, and each block of positives expands to a (positive, slot,
+    neighbor rank) grid of substitutions. The slot filter is a lookup in a
+    boolean table of the 2 x relations x phrases slot cells, built per call
+    from `ids.slot_keys`. Only the grid cells it admits are packed into
+    triple keys, and only their distinct keys are tested for KB membership.
+    The table's columns are gathered from the surviving grid positions.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -127,14 +129,15 @@ def generate_candidates(kb: KnowledgeBase, index: PhraseIndex, k: int) -> Candid
     # Row i: the k-NN list of KB phrase i as KB phrase ids, -1 for a neighbor
     # the KB does not store (no slot admits it) and as padding. At least one
     # column, so that an empty neighbor list still makes a grid.
-    lists = [
-        [kb.phrase_positions.get(p, -1) for p, _ in knn(index, phrase, k)]
-        for phrase in kb.phrases
-    ]
-    width = max(1, max(map(len, lists), default=0))
+    lists = [knn(index, phrase, k) for phrase in kb.phrases]
+    lengths = np.array([len(hits) for hits in lists], dtype=np.int64)
+    width = max(1, int(lengths.max(initial=0)))
     neighbors = np.full((len(lists), width), -1, dtype=np.int64)
-    for i, row in enumerate(lists):
-        neighbors[i, : len(row)] = row
+    position = kb.phrase_positions.get
+    flat_ids = (position(p, -1) for hits in lists for p, _ in hits)
+    neighbors[np.arange(width) < lengths[:, None]] = np.fromiter(flat_ids, dtype=np.int64)
+    allowed = np.zeros(2 * len(ids.relations) * ids.n_phrases, dtype=bool)
+    allowed[ids.slot_keys] = True
 
     # Grid cell (positive, slot, rank) has flat position
     # (positive * 2 + slot) * width + rank - 1: emission order.
@@ -146,17 +149,20 @@ def generate_candidates(kb: KnowledgeBase, index: PhraseIndex, k: int) -> Candid
     for start in range(0, len(ids.rows), block):
         h, r, t = ids.rows[start : start + block].T
         sub = np.stack([neighbors[h], neighbors[t]], axis=1)
-        heads, relations, tails = h[:, None, None], r[:, None, None], t[:, None, None]
-        new_heads = np.where(slot == 0, sub, heads)
-        new_tails = np.where(slot == 1, sub, tails)
-        keep = ids.slot_allows(relations, slot, sub)
-        keep &= ~ids.contains(new_heads, relations, new_tails)
-        (flat,) = np.nonzero(keep.ravel())
+        # pack_slot(r, s, -1) is the cell before (r, s, 0), so -1 is masked.
+        admitted = (sub >= 0) & allowed[ids.pack_slot(r[:, None, None], slot, sub)]
+        (flat,) = np.nonzero(admitted.ravel())
+        positive, cell = np.divmod(flat, cells)
+        replacement = sub.ravel()[flat]
+        is_head = cell < width
+        heads = np.where(is_head, replacement, h[positive])
+        tails = np.where(is_head, t[positive], replacement)
         positions.append(start * cells + flat)
-        keys.append(ids.pack(new_heads, relations, new_tails).ravel()[flat])
-        replacements.append(sub.ravel()[flat])
-    # Survivors are in emission order, so the first index of each key is its
-    # first occurrence.
+        keys.append(ids.pack(heads, r[positive], tails))
+        replacements.append(replacement)
+    # Slot survivors are in emission order, so the first index of each key is
+    # its first occurrence. A stored triple is stored at every occurrence, so
+    # the KB test runs on the distinct keys alone.
     _, first = np.unique(np.concatenate(keys), return_index=True)
     first.sort()
     positive_ids, cell = np.divmod(np.concatenate(positions)[first], cells)
@@ -164,7 +170,10 @@ def generate_candidates(kb: KnowledgeBase, index: PhraseIndex, k: int) -> Candid
     sources = ids.rows[positive_ids]
     rows = sources.copy()
     rows[np.arange(len(rows)), 2 * slots] = np.concatenate(replacements)[first]
-    return CandidateTable(ids.phrases, ids.relations, rows, sources[:, [0, 2]], slots, ranks + 1)
+    new = ~ids.contains(*rows.T)
+    return CandidateTable(
+        ids.phrases, ids.relations, rows[new], sources[new][:, [0, 2]], slots[new], ranks[new] + 1
+    )
 
 
 @dataclass

@@ -2,7 +2,9 @@
 
 Distances are Euclidean, computed exactly via precomputed squared norms.
 Desk-scale KBs do not need approximate structures, and exact search keeps
-results verifiable against a naive full scan.
+results verifiable against a naive full scan. A query partitions its
+distances at the k-th smallest and stable-sorts only the phrases at or below
+it, so the result is that of a stable sort of all distances, ties included.
 """
 from __future__ import annotations
 
@@ -48,7 +50,10 @@ def knn(index: PhraseIndex, query: Phrase, k: int) -> list[tuple[Phrase, float]]
     """k nearest phrases to an indexed query, ascending distance.
 
     The query itself is excluded; ties break by index insertion order; fewer
-    than k results are returned when the index is small.
+    than k results are returned when the index is small. The k-th smallest
+    distance is found by partition, and only the phrases at or below it are
+    stable-sorted: the search stays exact, ties across the k-th place
+    included.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
@@ -64,7 +69,13 @@ def knn(index: PhraseIndex, query: Phrase, k: int) -> list[tuple[Phrase, float]]
     np.maximum(sq, 0.0, out=sq)  # cancellation can leave tiny negatives
     sq[q_pos] = np.inf
     n_hits = min(k, len(index) - 1)
-    # Stable full argsort preserves insertion order among exact ties.
-    order = np.argsort(sq, kind="stable")[:n_hits]
-    return [(index.phrases[i], float(np.sqrt(sq[i]))) for i in order]
+    # Every index at or below the n_hits-th smallest distance, in index
+    # order: a stable sort of these keeps insertion order among exact ties,
+    # also across the cut, as a stable sort of all of them would. (A
+    # one-phrase index has n_hits 0: the cut at -1 is the query's inf.)
+    kth = np.partition(sq, n_hits - 1)[n_hits - 1]
+    (near,) = np.nonzero(sq <= kth)
+    order = near[np.argsort(sq[near], kind="stable")[:n_hits]]
+    phrases = index.phrases
+    return [(phrases[i], d) for i, d in zip(order.tolist(), np.sqrt(sq[order]).tolist())]
 

@@ -1,14 +1,16 @@
 """Shared test helpers: triple builders, id rows over a KB's view, candidate and ranked
 tables from rows, corruption and recorded draws, checkpoint surgery, the single-triple
-forward pass, the brute-force kNN and the gradient oracle."""
+forward pass, the brute-force and full-sort kNN, the object-level candidate loop and the
+gradient oracle."""
 import json
 import math
 
 import numpy as np
 
-from negmine.candidates import CandidateTable
-from negmine.kb import SLOTS, LabeledTriple, Phrase
+from negmine.candidates import Candidate, CandidateTable
+from negmine.kb import HEAD, SLOTS, TAIL, LabeledTriple, Phrase
 from negmine.rankers import RankedTable
+from negmine.retrieval import knn
 from negmine.scorer import _draw_corruptions, _mode_columns, sigmoid
 
 
@@ -84,6 +86,50 @@ def knn_brute_force(index, query, k):
         scored.append((float(np.sqrt(diff @ diff)), i, phrase))
     scored.sort(key=lambda item: (item[0], item[1]))
     return [(phrase, dist) for dist, _, phrase in scored[:k]]
+
+
+def knn_full_sort(index, query, k):
+    """`retrieval.knn` by a stable argsort of every distance, the same distance
+    expression and square roots one at a time: the reference for its partition."""
+    if k == 0:
+        return []
+    q_pos = index.positions[query]
+    q = index.matrix[q_pos]
+    sq = index.norms - 2.0 * (index.matrix @ q) + float(q @ q)
+    np.maximum(sq, 0.0, out=sq)
+    sq[q_pos] = np.inf
+    order = np.argsort(sq, kind="stable")[: min(k, len(index) - 1)]
+    return [(index.phrases[i], float(np.sqrt(sq[i]))) for i in order]
+
+
+def reference_generate_candidates(kb, index, k):
+    """Candidate generation one neighbor at a time, over `Phrase` objects."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    neighbor_cache = {}
+    seen = set()
+    out = []
+    for positive in kb.triples:
+        for slot in (HEAD, TAIL):
+            original = positive.phrase(slot)
+            neighbors = neighbor_cache.get(original)
+            if neighbors is None:
+                neighbors = knn(index, original, k)
+                neighbor_cache[original] = neighbors
+            allowed = kb.slot_phrases(positive.relation, slot)
+            for rank, (replacement, _) in enumerate(neighbors, start=1):
+                if replacement not in allowed:
+                    continue
+                triple = positive.replace(slot, replacement, label=0)
+                if kb.contains(triple):
+                    continue
+                key = triple.key()
+                if key in seen:
+                    continue
+                seen.add(key)
+                out.append(Candidate(triple, positive, slot, rank))
+    return out
+
 
 
 def corrupt(kb, positive, mode, rng):

@@ -17,9 +17,10 @@ from negmine.candidates import (
     validate_candidates,
     write_candidates_tsv,
 )
+from negmine.checkpoint import load_checkpoint
 from negmine.kb import KnowledgeBase, build_true_negative_split, load_tsv, save_tsv
 from negmine.rankers import rank_grad, rank_none, read_ranked_tsv, write_ranked_tsv
-from negmine.retrieval import build_index
+from negmine.retrieval import build_index, knn
 from negmine.scorer import TokenVocab, embed_phrase, init_params
 from negmine.synthetic import SyntheticSpec, generate_kb
 
@@ -93,6 +94,43 @@ def test_traced_evaluate_counts_what_an_untraced_run_draws(tmp_path, monkeypatch
     assert metrics[f"samplers.skips.{sampler}"][0] == len(kb.splits.train) - draws
     assert metrics["scorer.supervised_examples"][0] == (len(kb.splits.train) + draws) * epochs
     assert metrics["evaluation.trials"][0] == 1
+
+
+def test_traced_candidates_counts_what_an_untraced_search_finds(tmp_path, monkeypatch):
+    """`candidates` under the tracer: one wrapped `knn` call per KB phrase
+    (the tracer keys neighbor-list sizes by the query phrase), nested spans,
+    and the examined and emitted counts of the untraced search and file."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import spans
+
+    spec = SyntheticSpec(clusters=4, cluster_size=10, relations=8, negative_fraction=0.3, seed=1)
+    save_tsv(list(generate_kb(spec).triples), tmp_path / "kb.tsv")
+    out = tmp_path / "out"
+    k = 6
+    argv = ["--kb", str(tmp_path / "kb.tsv"), "--output-dir", str(out), "--split",
+            "true-negatives", "--hidden-dim", "8", "--epochs", "1", "--seed", "3", "--k", str(k)]
+    cli = negmine.cli
+    assert cli.main(["train", *argv]) == 0
+    kb = cli._load_kb(cli.resolve_config(cli.build_parser().parse_args(["candidates", *argv])))
+    params, _ = load_checkpoint(out / "scorer.ckpt")
+    index = build_index(list(kb.phrases), lambda p: embed_phrase(params, p))
+    sizes = {p: len(knn(index, p, k)) for p in kb.phrases}
+    examined = sum(sizes[t.head] + sizes[t.tail] for t in kb.triples)
+
+    tracer = spans.Tracer("t")
+    tracer.install()
+    try:
+        code = cli.main(["candidates", *argv])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert spans.nesting_violations(tracer.spans) == 0
+    metrics = spans.layer_metrics(tracer)
+    emitted = len((out / "candidates.tsv").read_text(encoding="utf-8").splitlines())
+    assert 0 < emitted < examined
+    assert metrics["retrieval.knn_calls"][0] == len(kb.phrases)
+    assert metrics["candidates.emitted"][0] == emitted
+    assert metrics["candidates.examined"][0] == examined
 
 
 def test_runner_imports_resolve():

@@ -1,7 +1,7 @@
 """Candidate generation: filter chain, ordering, dedup, and validation."""
 import numpy as np
 import pytest
-from conftest import candidate_table
+from conftest import candidate_table, reference_generate_candidates
 
 from negmine.candidates import (
     Candidate,
@@ -99,6 +99,21 @@ class TestGenerate:
         table = {p: rng.normal(size=4) for p in kb.phrases}
         index = build_index(list(kb.phrases), lambda p: table[p])
         assert list(generate_candidates(kb, index, 4)) == list(generate_candidates(kb, index, 4))
+
+    def test_unstored_neighbor_does_not_read_the_last_slot_cell(self):
+        # x is only in the index: a's nearest neighbor, so head neighbor id -1
+        # under relation R0 (id 0). pack_slot(0, head, -1) is -1, the slot
+        # table's last cell (tail of R1, the last relation, holding z, the
+        # last phrase), which is set.
+        kb = KnowledgeBase([t("R0", "a", "b"), t("R1", "c", "z")])
+        ids = kb.ids
+        assert ids.pack_slot(0, 0, -1) == -1
+        assert ids.slot_keys[-1] == 2 * len(ids.relations) * ids.n_phrases - 1
+        order = [Phrase.parse(s) for s in ("a", "x", "b", "c", "z")]
+        index = build_index(order, line_embed(order))
+        out = generate_candidates(kb, index, 1)
+        assert (out.rows >= 0).all()
+        assert list(out) == reference_generate_candidates(kb, index, 1)
 
     def test_k_floor(self):
         kb = KnowledgeBase([t("R", "a", "b")])

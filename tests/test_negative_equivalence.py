@@ -1,6 +1,6 @@
 """The integer-id negative generators against reference implementations.
 
-`reference_generate_candidates` is the object-level loop that
+`reference_generate_candidates` (in conftest) is the object-level loop that
 `generate_candidates` replaced: one `Phrase` substitution, slot check and
 `kb.contains` per neighbor. The vectorized generator must return the same
 list, element for element. `reference_within` is the `Phrase`-set BFS that
@@ -16,10 +16,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from conftest import RecordingRng, corrupt, id_rows
+from conftest import RecordingRng, corrupt, id_rows, reference_generate_candidates
 
-from negmine.candidates import Candidate, generate_candidates
-from negmine.kb import HEAD, SLOTS, TAIL, KnowledgeBase, LabeledTriple, Phrase
+from negmine.candidates import generate_candidates
+from negmine.kb import SLOTS, KnowledgeBase, LabeledTriple, Phrase
 from negmine.retrieval import build_index, knn
 from negmine.samplers import EntityGraph, sample_sans, sample_slots, sample_uniform
 from negmine.scorer import (
@@ -32,35 +32,6 @@ from negmine.scorer import (
 SETTINGS = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
-
-
-def reference_generate_candidates(kb, index, k):
-    """Candidate generation one neighbor at a time, over `Phrase` objects."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    neighbor_cache = {}
-    seen = set()
-    out = []
-    for positive in kb.triples:
-        for slot in (HEAD, TAIL):
-            original = positive.phrase(slot)
-            neighbors = neighbor_cache.get(original)
-            if neighbors is None:
-                neighbors = knn(index, original, k)
-                neighbor_cache[original] = neighbors
-            allowed = kb.slot_phrases(positive.relation, slot)
-            for rank, (replacement, _) in enumerate(neighbors, start=1):
-                if replacement not in allowed:
-                    continue
-                triple = positive.replace(slot, replacement, label=0)
-                if kb.contains(triple):
-                    continue
-                key = triple.key()
-                if key in seen:
-                    continue
-                seen.add(key)
-                out.append(Candidate(triple, positive, slot, rank))
-    return out
 
 
 def phrase(i):

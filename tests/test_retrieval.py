@@ -1,7 +1,9 @@
 """Exact nearest-neighbor search checked against a naive full scan."""
 import numpy as np
 import pytest
-from conftest import knn_brute_force
+from conftest import knn_brute_force, knn_full_sort
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from negmine.kb import Phrase
 from negmine.retrieval import build_index, knn
@@ -121,3 +123,36 @@ class TestKnn:
             np.testing.assert_allclose(
                 [d for _, d in fast], [d for _, d in slow], rtol=1e-9, atol=1e-12
             )
+
+
+@st.composite
+def grid_embeddings(draw):
+    """1-3 dimensional points on a 3-value integer grid, so that many coincide."""
+    dim = draw(st.integers(1, 3))
+    point = st.lists(st.integers(0, 2), min_size=dim, max_size=dim)
+    return draw(st.lists(point, min_size=1, max_size=12))
+
+
+class TestKnnTies:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(grid_embeddings())
+    @example([[0], [1], [1], [1], [2], [1]])
+    def test_equals_full_stable_sort(self, points):
+        """Every query at every k from 0 to n + 1 gives the phrases of a full
+        stable sort, with bit-equal distances."""
+        ps = phrases(len(points))
+        index = build_index(ps, fixed_embed(dict(zip(ps, points))))
+        for q in ps:
+            for k in range(len(ps) + 2):
+                fast, slow = knn(index, q, k), knn_full_sort(index, q, k)
+                assert [p for p, _ in fast] == [p for p, _ in slow]
+                assert [d.hex() for _, d in fast] == [d.hex() for _, d in slow]
+
+    def test_example_ties_straddle_the_cut(self):
+        """The explicit example above has a tie block across the k-th place:
+        p1, p2, p3 and p5 at distance 1 from p0, cut at k = 2."""
+        ps = phrases(6)
+        points = [[0], [1], [1], [1], [2], [1]]
+        index = build_index(ps, fixed_embed(dict(zip(ps, points))))
+        assert [d for _, d in knn_full_sort(index, ps[0], 3)] == [1.0, 1.0, 1.0]
+        assert [p for p, _ in knn(index, ps[0], 2)] == [ps[1], ps[2]]
